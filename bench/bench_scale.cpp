@@ -4,10 +4,10 @@
  * simulated machine past 10^7 syscalls/sec of wall-clock event
  * processing with the full multi-tenant probe set attached (tenant
  * duration pair, tenant send/recv delta, heavy-hitter sketch), then
- * sweep a 16-machine cluster. Events enter through
- * Kernel::dispatchRawBatch as structure-of-arrays bursts — the
- * amortised path — with the scalar per-event path measured alongside
- * and checked byte-identical on every probe-visible output.
+ * run 1 to 16 independent storm rigs on as many host threads. Events
+ * enter through Kernel::dispatchRawBatch as structure-of-arrays bursts
+ * — the amortised path — with the scalar per-event path measured
+ * alongside and checked byte-identical on every probe-visible output.
  *
  * Like bench_perf, every number here is a host wall-clock measurement;
  * the simulated outputs are engine- and batching-invariant (asserted
@@ -28,14 +28,12 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "core/cluster.hh"
 #include "ebpf/maps.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
 #include "kernel/kernel.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
-#include "workload/config.hh"
 
 namespace {
 
@@ -387,63 +385,6 @@ perCpuAblation(std::uint32_t cpus, std::uint64_t syscalls,
     return static_cast<double>(rounds * batch) / secs;
 }
 
-/**
- * One rung of the domain-engine ladder: a full cluster experiment
- * (machines, tenants, agents, client population — the real harness, not
- * the raw storm above) with load scaled to the fleet size so every
- * machine carries the same work at every rung.
- */
-core::ClusterExperimentConfig
-ladderConfig(unsigned machines, bool parallel)
-{
-    core::ClusterExperimentConfig cc;
-    // Two co-located tenants so even the 1-machine rung runs the full
-    // multi-tenant harness (never the degenerate single-tenant path).
-    core::ClusterTenantSpec t1;
-    t1.workload = workload::workloadByName("img-dnn");
-    t1.offeredRps = 500.0 * machines;
-    t1.requests = 800ull * machines;
-    cc.tenants.push_back(std::move(t1));
-    core::ClusterTenantSpec t2;
-    t2.workload = workload::workloadByName("xapian");
-    t2.offeredRps = 300.0 * machines;
-    t2.requests = 500ull * machines;
-    cc.tenants.push_back(std::move(t2));
-    cc.machines = machines;
-    cc.netem.delay = sim::microseconds(200);
-    cc.netem.jitter = sim::microseconds(50);
-    cc.netem.lossProbability = 0.005;
-    cc.seed = 7;
-    cc.clusterParallel = parallel;
-    return cc;
-}
-
-struct EngineRow
-{
-    unsigned machines = 0;
-    const char *engine = "";   ///< requested engine
-    bool ranParallel = false;  ///< what actually executed
-    double wallSeconds = 0.0;
-    double aggSyscallsPerSec = 0.0; ///< simulated syscalls / wall sec
-};
-
-EngineRow
-runLadderRung(unsigned machines, bool parallel)
-{
-    const core::ClusterExperimentConfig cc = ladderConfig(machines, parallel);
-    const auto start = Clock::now();
-    const core::ClusterExperimentResult res =
-        core::runClusterExperiment(cc);
-    EngineRow row;
-    row.machines = machines;
-    row.engine = parallel ? "parallel" : "serial";
-    row.ranParallel = res.engineParallel;
-    row.wallSeconds = secondsSince(start);
-    row.aggSyscallsPerSec =
-        static_cast<double>(res.syscalls) / row.wallSeconds;
-    return row;
-}
-
 } // namespace
 
 int
@@ -451,16 +392,12 @@ main(int argc, char **argv)
 {
     std::string json_path = "BENCH_scale.json";
     double floor = 0.0;
-    double par_min_speedup = 0.0;
     std::uint64_t headline_syscalls = 12000000;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             json_path = argv[++i];
         else if (std::strcmp(argv[i], "--floor") == 0 && i + 1 < argc)
             floor = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--par-min-speedup") == 0 &&
-                 i + 1 < argc)
-            par_min_speedup = std::atof(argv[++i]);
         else if (std::strcmp(argv[i], "--syscalls") == 0 && i + 1 < argc)
             headline_syscalls = std::strtoull(argv[++i], nullptr, 10);
     }
@@ -519,11 +456,12 @@ main(int argc, char **argv)
     // each. This measures host event-processing capacity only — every
     // rig is an isolated storm with no cluster harness, and on hosts
     // with fewer cores than machines the aggregate line is flat by
-    // construction. The domain-engine ladder below is the scaling
-    // measurement. ---
+    // construction. ---
+    const unsigned host_cores = std::thread::hardware_concurrency();
     std::printf("\nraw-storm thread sweep (host capacity, NOT cluster "
-                "scaling; %llu syscalls per machine)\n",
-                static_cast<unsigned long long>(headline_syscalls / 8));
+                "scaling; %llu syscalls per machine; host cores: %u)\n",
+                static_cast<unsigned long long>(headline_syscalls / 8),
+                host_cores);
     std::printf("  %-10s %-16s %12s %16s\n", "machines", "engine",
                 "wall secs", "agg syscalls/s");
     std::vector<std::pair<unsigned, double>> cluster;
@@ -552,43 +490,6 @@ main(int argc, char **argv)
         std::printf("  %-10u %-16s %12.2f %16.0f\n", machines,
                     "native+batch", secs, agg);
         cluster.emplace_back(machines, agg);
-    }
-
-    // --- domain-engine ladder: the full cluster harness under the
-    // serial engine and the parallel discrete-event engine. Load scales
-    // with fleet size, so agg syscalls/s measures how fast the engine
-    // chews through a proportionally larger cluster; efficiency is the
-    // parallel/serial wall ratio at each rung. ---
-    const unsigned host_cores = std::thread::hardware_concurrency();
-    std::printf("\ndomain-engine ladder (full cluster harness, load "
-                "proportional to fleet; host cores: %u)\n",
-                host_cores);
-    std::printf("  %-10s %-16s %12s %16s %10s\n", "machines", "engine",
-                "wall secs", "agg syscalls/s", "speedup");
-    std::vector<EngineRow> ladder;
-    double serial1_agg = 0.0;
-    double par8_agg = 0.0;
-    for (unsigned machines : {1u, 2u, 4u, 8u, 16u}) {
-        const EngineRow ser = runLadderRung(machines, false);
-        const EngineRow par = runLadderRung(machines, true);
-        if (!par.ranParallel)
-            sim::fatal("bench_scale: parallel ladder rung fell back to "
-                       "serial (lookahead misconfigured?)");
-        if (machines == 1)
-            serial1_agg = ser.aggSyscallsPerSec;
-        if (machines == 8)
-            par8_agg = par.aggSyscallsPerSec;
-        std::printf("  %-10u %-16s %12.2f %16.0f %9s\n", machines,
-                    ser.engine, ser.wallSeconds, ser.aggSyscallsPerSec,
-                    "1.00x");
-        char spd[32];
-        std::snprintf(spd, sizeof(spd), "%.2fx",
-                      ser.wallSeconds / par.wallSeconds);
-        std::printf("  %-10u %-16s %12.2f %16.0f %9s\n", machines,
-                    par.engine, par.wallSeconds, par.aggSyscallsPerSec,
-                    spd);
-        ladder.push_back(ser);
-        ladder.push_back(par);
     }
 
     std::FILE *f = std::fopen(json_path.c_str(), "w");
@@ -624,28 +525,7 @@ main(int argc, char **argv)
                      i + 1 < cluster.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"host_cores\": %u,\n", host_cores);
-    std::fprintf(f, "  \"cluster_engine_ladder\": [\n");
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-        const EngineRow &r = ladder[i];
-        std::fprintf(f,
-                     "    {\"machines\": %u, \"engine\": \"%s\", "
-                     "\"wall_seconds\": %.3f, "
-                     "\"agg_syscalls_per_sec\": %.0f}%s\n",
-                     r.machines, r.engine, r.wallSeconds,
-                     r.aggSyscallsPerSec,
-                     i + 1 < ladder.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    const double par8_speedup =
-        serial1_agg > 0.0 ? par8_agg / serial1_agg : 0.0;
-    std::fprintf(f, "  \"parallel_8m_vs_serial_1m\": %.3f,\n",
-                 par8_speedup);
-    const bool gate_applies = par_min_speedup > 0.0 && host_cores >= 8;
-    std::fprintf(f, "  \"parallel_gate\": \"%s\"\n",
-                 par_min_speedup <= 0.0 ? "off"
-                 : gate_applies         ? "enforced"
-                                        : "skipped-small-host");
+    std::fprintf(f, "  \"host_cores\": %u\n", host_cores);
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", json_path.c_str());
@@ -655,25 +535,6 @@ main(int argc, char **argv)
                      "bench_scale: FAIL %.0f syscalls/s below floor %.0f\n",
                      nat.syscallsPerSec, floor);
         return 1;
-    }
-    if (par_min_speedup > 0.0) {
-        if (!gate_applies) {
-            std::printf("parallel scaling gate SKIPPED: host has %u "
-                        "cores (< 8); the 8-machine speedup gate needs "
-                        "real parallelism to be meaningful\n",
-                        host_cores);
-        } else if (par8_speedup < par_min_speedup) {
-            std::fprintf(stderr,
-                         "bench_scale: FAIL 8-machine parallel aggregate "
-                         "is %.2fx the 1-machine serial aggregate "
-                         "(gate: >= %.2fx)\n",
-                         par8_speedup, par_min_speedup);
-            return 1;
-        } else {
-            std::printf("parallel scaling gate OK: 8-machine parallel = "
-                        "%.2fx 1-machine serial (>= %.2fx)\n",
-                        par8_speedup, par_min_speedup);
-        }
     }
     return 0;
 }

@@ -132,11 +132,10 @@ if [ "$run_sanitize" = 1 ]; then
     ctest --test-dir "$repo/build-check-asan" --output-on-failure \
         -j "$jobs" -L sched --timeout 300
 
-    # ThreadSanitizer over the multi-threaded harnesses: the worker pool
-    # (perf label) and the parallel cluster engine's window/barrier
-    # protocol (perf + fleet labels). The engine's thread-safety
-    # argument — SPSC channels ordered by the pool's batch hand-off —
-    # is exactly the kind of claim TSan exists to audit.
+    # ThreadSanitizer over the worker pool, the only multi-threaded
+    # code: its batch hand-off and thread budget (WorkerPoolTest, perf
+    # label) and cluster sweeps on it, nested ones included
+    # (ClusterBatchTest, fleet label).
     echo "== ThreadSanitizer build + perf/fleet suites =="
     cmake -B "$repo/build-check-tsan" -S "$repo" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo -DREQOBS_SANITIZE=thread
@@ -145,8 +144,7 @@ if [ "$run_sanitize" = 1 ]; then
     cmake --build "$repo/build-check-tsan" -j "$jobs"
     # The storm and sched suites ride along (their labels regex-match
     # perf), named explicitly so trimming the compound labels can't
-    # silently drop them; sched covers the parallel cluster engine
-    # driving per-machine discrete schedulers.
+    # silently drop them.
     ctest --test-dir "$repo/build-check-tsan" --output-on-failure \
         -j "$jobs" -L 'perf|fleet|storm|sched' --timeout 300
 fi
@@ -160,12 +158,9 @@ if [ "$run_bench" = 1 ]; then
     echo "== Host perf report =="
     "$repo/build-check/bench/bench_perf" --json "$repo/BENCH_perf.json" \
         --min-speedup 8
-    # The parallel-engine gate (8-machine parallel cluster >= 3x the
-    # 1-machine serial aggregate) only binds on hosts with >= 8 cores;
-    # bench_scale prints a skip notice and passes on smaller hosts.
     echo "== Scale report =="
     "$repo/build-check/bench/bench_scale" --json "$repo/BENCH_scale.json" \
-        --floor 10000000 --par-min-speedup 3
+        --floor 10000000
     # Closed-loop acceptance: open loop violates, closed loop holds
     # (bench_control exits non-zero if either side misbehaves).
     echo "== Closed-loop control report =="

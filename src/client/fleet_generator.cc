@@ -8,15 +8,6 @@ FleetLoadGenerator::FleetLoadGenerator(
     sim::Simulation &sim, std::vector<workload::ServerApp *> backends,
     const net::NetemConfig &netem, const net::TcpConfig &tcp,
     const ClientConfig &config, net::LbPolicy policy)
-    : FleetLoadGenerator(sim, std::move(backends), {}, netem, tcp, config,
-                         policy)
-{}
-
-FleetLoadGenerator::FleetLoadGenerator(
-    sim::Simulation &sim, std::vector<workload::ServerApp *> backends,
-    const std::vector<sim::Simulation *> &backend_sims,
-    const net::NetemConfig &netem, const net::TcpConfig &tcp,
-    const ClientConfig &config, net::LbPolicy policy)
     : sim_(sim), config_(config), rng_(sim.forkRng()),
       lb_(policy, backends.size()),
       backendCompleted_(backends.size(), 0),
@@ -26,17 +17,12 @@ FleetLoadGenerator::FleetLoadGenerator(
         sim::fatal("FleetLoadGenerator: offered RPS must be positive");
     if (backends.empty())
         sim::fatal("FleetLoadGenerator: need at least one backend");
-    if (!backend_sims.empty() && backend_sims.size() != backends.size())
-        sim::fatal("FleetLoadGenerator: backend_sims size mismatch");
     interArrival_ = std::make_unique<sim::ExponentialDist>(
         std::max<sim::Tick>(
             1, static_cast<sim::Tick>(1e9 / config.offeredRps)));
 
     backends_.reserve(backends.size());
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-        workload::ServerApp *app = backends[i];
-        sim::Simulation &server_sim =
-            backend_sims.empty() ? sim : *backend_sims[i];
+    for (workload::ServerApp *app : backends) {
         Backend b;
         b.requestBytes = app->config().requestBytes;
         const unsigned conns = app->config().connections;
@@ -44,7 +30,7 @@ FleetLoadGenerator::FleetLoadGenerator(
         for (unsigned c = 0; c < conns; ++c) {
             auto sock = app->addConnection(c + 1);
             b.links.push_back(std::make_unique<net::Link>(
-                sim, server_sim, netem, tcp, std::move(sock),
+                sim, netem, tcp, std::move(sock),
                 [this](kernel::Message &&msg) { onResponse(std::move(msg)); },
                 nullptr));
         }

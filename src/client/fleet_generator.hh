@@ -48,21 +48,6 @@ class FleetLoadGenerator
                        const net::TcpConfig &tcp, const ClientConfig &config,
                        net::LbPolicy policy);
 
-    /**
-     * Split-domain form (parallel cluster engine): the generator and
-     * every client-side endpoint live on @p sim, while backend @p b's
-     * server endpoints live on @p backend_sims[b] (size must match
-     * @p backends; entries may repeat when machines share a domain).
-     * With every entry == &sim this is exactly the single-domain
-     * constructor, including RNG fork order.
-     */
-    FleetLoadGenerator(sim::Simulation &sim,
-                       std::vector<workload::ServerApp *> backends,
-                       const std::vector<sim::Simulation *> &backend_sims,
-                       const net::NetemConfig &netem,
-                       const net::TcpConfig &tcp, const ClientConfig &config,
-                       net::LbPolicy policy);
-
     ~FleetLoadGenerator();
 
     FleetLoadGenerator(const FleetLoadGenerator &) = delete;
@@ -114,17 +99,6 @@ class FleetLoadGenerator
     /** Mutable balancer access (the controller's migration actuator). */
     net::LoadBalancer &balancer() { return lb_; }
     const ClientConfig &config() const { return config_; }
-
-    /** Connections provisioned to @p backend. */
-    std::size_t linkCount(std::size_t backend) const
-    {
-        return backends_[backend].links.size();
-    }
-    /** Mutable link access (cross-domain channel wiring). */
-    net::Link &link(std::size_t backend, std::size_t i)
-    {
-        return *backends_[backend].links[i];
-    }
     /** @} */
 
   private:

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <tuple>
 
 #include "client/fleet_generator.hh"
 #include "core/parallel.hh"
 #include "core/profile.hh"
-#include "net/channel.hh"
 #include "sim/logging.hh"
 
 namespace reqobs::core {
@@ -25,12 +23,6 @@ isDegenerateCluster(const ClusterExperimentConfig &config)
            config.tenants[0].loadProfile.empty() && !config.antagonist &&
            !config.controller.enabled && uniform_speed &&
            config.sched == kernel::SchedModel::Gps;
-}
-
-sim::Tick
-clusterLookahead(const ClusterExperimentConfig &config)
-{
-    return net::TcpPipe::minLatency(config.netem);
 }
 
 namespace {
@@ -88,309 +80,6 @@ liftDegenerate(const ClusterExperimentConfig &config,
     return out;
 }
 
-/**
- * The conservative parallel discrete-event engine (DESIGN.md §13).
- *
- * Every machine runs as an independent simulation domain (indices
- * 0..M-1) and the whole client population as one more (index M), each
- * with its own event queue and virtual clock. The only cross-domain
- * interaction is message delivery through TcpPipes, whose send() side
- * computes the complete delivery timing (netem verdicts, RTO waits,
- * in-order bump) before the message leaves the sender — so a domain can
- * safely run ahead as long as no message from another domain could
- * still arrive, i.e. for one lookahead L = min cross-domain latency.
- *
- * Execution alternates lookahead windows and barriers: every domain
- * runs its events with tick < W on the shared worker pool, then the
- * barrier (single-threaded, after the pool's happens-before hand-off)
- * drains every channel and injects the buffered deliveries into the
- * destination queues in the canonical (arrival, sent, sender domain,
- * send seq) order. A message sent at tick s arrives at >= s + L >= W,
- * so injections never land behind a destination's executed prefix.
- *
- * Determinism: construction below mirrors runClusterExperiment()'s
- * serial construction statement for statement — same component order,
- * and every sim's forkRng() routed through ONE shared master seeded
- * like the serial Simulation — so all random streams are bit-identical
- * to the serial engine's. Window boundaries are pure functions of queue
- * state, never of thread scheduling, which makes results independent of
- * worker count (and byte-identical to the serial engine whenever no
- * injected delivery collides with an unrelated event on the exact same
- * nanosecond tick).
- */
-ClusterExperimentResult
-runClusterParallel(const ClusterExperimentConfig &config)
-{
-    const unsigned M = config.machines;
-    const std::size_t client_domain = M;
-    const std::size_t domains = static_cast<std::size_t>(M) + 1;
-    const sim::Tick lookahead = clusterLookahead(config);
-
-    // All construction-time forks route through one master stream in
-    // serial construction order; Simulation(seed) seeds its private
-    // master exactly like this.
-    sim::Rng master(config.seed);
-    std::vector<std::unique_ptr<sim::Simulation>> sims;
-    sims.reserve(domains);
-    for (std::size_t d = 0; d < domains; ++d) {
-        sims.push_back(std::make_unique<sim::Simulation>(config.seed));
-        sims.back()->setForkSource(&master);
-    }
-    sim::Simulation &csim = *sims[client_domain];
-
-    std::vector<std::unique_ptr<workload::Machine>> machines;
-    machines.reserve(config.machines);
-    for (unsigned m = 0; m < config.machines; ++m) {
-        kernel::KernelConfig kc;
-        kc.cpu = config.system.toCpuConfig();
-        kc.cpu.sched = config.sched;
-        if (config.schedQuantum > 0)
-            kc.cpu.quantum = config.schedQuantum;
-        if (!config.machineSpeedFactors.empty())
-            kc.cpu.speed *= config.machineSpeedFactors[m];
-        machines.push_back(
-            std::make_unique<workload::Machine>(*sims[m], kc));
-    }
-    for (auto &machine : machines) {
-        for (const ClusterTenantSpec &t : config.tenants)
-            machine->addTenant(t.workload);
-        if (config.antagonist)
-            machine->addAntagonist(config.antagonistConfig);
-    }
-
-    std::vector<std::unique_ptr<client::FleetLoadGenerator>> gens;
-    gens.reserve(config.tenants.size());
-    std::vector<sim::Simulation *> backend_sims;
-    backend_sims.reserve(machines.size());
-    for (unsigned m = 0; m < config.machines; ++m)
-        backend_sims.push_back(sims[m].get());
-    sim::Tick max_qos = 0;
-    double max_offered_seconds = 0.0;
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-        const ClusterTenantSpec &spec = config.tenants[t];
-        std::vector<workload::ServerApp *> backends;
-        backends.reserve(machines.size());
-        for (auto &machine : machines)
-            backends.push_back(&machine->tenant(t));
-        client::ClientConfig cc;
-        cc.offeredRps = spec.offeredRps;
-        cc.maxRequests = spec.requests;
-        cc.warmup = config.warmup;
-        cc.qosLatency = config.qosLatency > 0
-                            ? config.qosLatency
-                            : defaultQosLatency(spec.workload, config.netem);
-        max_qos = std::max(max_qos, cc.qosLatency);
-        max_offered_seconds =
-            std::max(max_offered_seconds,
-                     static_cast<double>(spec.requests) / spec.offeredRps);
-        gens.push_back(std::make_unique<client::FleetLoadGenerator>(
-            csim, std::move(backends), backend_sims, config.netem,
-            config.tcp, cc, config.lbPolicy));
-    }
-
-    double min_load_factor = 1.0;
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-        const ClusterTenantSpec &spec = config.tenants[t];
-        client::FleetLoadGenerator *gen = gens[t].get();
-        for (const LoadPhase &phase : spec.loadProfile) {
-            min_load_factor = std::min(min_load_factor, phase.factor);
-            const double rps = spec.offeredRps * phase.factor;
-            csim.scheduleAt(phase.at,
-                            [gen, rps] { gen->setOfferedRps(rps); });
-        }
-    }
-
-    std::vector<std::unique_ptr<MultiTenantAgent>> agents;
-    if (config.attachAgents) {
-        agents.reserve(machines.size());
-        for (auto &machine : machines) {
-            std::vector<TenantBinding> bindings;
-            bindings.reserve(config.tenants.size());
-            for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-                TenantBinding b;
-                b.name = config.tenants[t].workload.name;
-                b.tgid = machine->tenant(t).frontPid();
-                b.profile = profileFor(config.tenants[t].workload);
-                bindings.push_back(std::move(b));
-            }
-            agents.push_back(std::make_unique<MultiTenantAgent>(
-                machine->kernel(), std::move(bindings), config.agent));
-        }
-    }
-
-    // Construction (and therefore forking) is complete; a late fork from
-    // a domain thread would race on the shared master, so cut it off.
-    for (auto &s : sims)
-        s->setForkSource(nullptr);
-
-    // Switch every cross-domain pipe into envelope mode. One channel per
-    // pipe direction; send-order stamps come from a per-sender-domain
-    // counter shared by all of that domain's channels.
-    std::vector<std::uint64_t> send_seq(domains, 0);
-    std::vector<std::unique_ptr<net::CrossDomainChannel>> channels;
-    for (std::size_t t = 0; t < gens.size(); ++t) {
-        for (unsigned m = 0; m < config.machines; ++m) {
-            for (std::size_t i = 0; i < gens[t]->linkCount(m); ++i) {
-                net::Link &link = gens[t]->link(m, i);
-                channels.push_back(
-                    std::make_unique<net::CrossDomainChannel>(
-                        client_domain, m, &send_seq[client_domain]));
-                link.upPipe().setRemote(channels.back().get());
-                channels.push_back(
-                    std::make_unique<net::CrossDomainChannel>(
-                        m, client_domain, &send_seq[m]));
-                link.downPipe().setRemote(channels.back().get());
-            }
-        }
-    }
-
-    for (auto &machine : machines)
-        machine->start();
-    for (auto &agent : agents)
-        agent->start();
-    for (auto &gen : gens)
-        gen->start();
-
-    const sim::Tick grace = std::max<sim::Tick>(
-        sim::milliseconds(500), 4 * max_qos + 8 * config.netem.delay);
-    const sim::Tick horizon =
-        config.warmup +
-        static_cast<sim::Tick>(max_offered_seconds / min_load_factor *
-                               1.05 * 1e9) +
-        grace;
-
-    const unsigned workers =
-        resolveWorkerCount(config.clusterWorkers, domains);
-    const bool threaded = workers > 1 && !inWorkerPool();
-
-    // Conservative time advance: no event below `earliest` exists
-    // anywhere, so no message can arrive anywhere before earliest + L —
-    // every domain may run freely up to (exclusive) that bound. The
-    // bound is horizon + 1 because the serial engine's runUntil(horizon)
-    // still executes events at exactly the horizon tick.
-    const sim::Tick bound = horizon + 1;
-    std::uint64_t windows = 0;
-    std::uint64_t messages = 0;
-    struct Injection
-    {
-        net::CrossDomainEnvelope env;
-        net::CrossDomainChannel *channel = nullptr;
-    };
-    std::vector<Injection> pending;
-    for (;;) {
-        sim::Tick earliest = sim::kTickMax;
-        for (auto &s : sims)
-            earliest = std::min(earliest, s->nextEventTick());
-        if (earliest >= bound)
-            break;
-        const sim::Tick wend =
-            std::min<sim::Tick>(bound, earliest + lookahead);
-        if (threaded) {
-            poolRun(domains, workers, [&](std::size_t d) {
-                sims[d]->runWindow(wend);
-            });
-        } else {
-            for (auto &s : sims)
-                s->runWindow(wend);
-        }
-        ++windows;
-
-        pending.clear();
-        for (auto &ch : channels) {
-            if (ch->empty())
-                continue;
-            for (net::CrossDomainEnvelope &env : ch->drain())
-                pending.push_back({std::move(env), ch.get()});
-        }
-        std::sort(pending.begin(), pending.end(),
-                  [](const Injection &a, const Injection &b) {
-                      return std::make_tuple(a.env.arrival, a.env.sent,
-                                             a.channel->senderDomain(),
-                                             a.env.seq) <
-                             std::make_tuple(b.env.arrival, b.env.sent,
-                                             b.channel->senderDomain(),
-                                             b.env.seq);
-                  });
-        for (Injection &inj : pending) {
-            net::TcpPipe *pipe = inj.channel->pipe();
-            sims[inj.channel->destDomain()]->scheduleAt(
-                inj.env.arrival,
-                [pipe, msg = std::move(inj.env.msg)]() mutable {
-                    pipe->deliverRemote(std::move(msg));
-                });
-            ++messages;
-        }
-    }
-    // Align every clock with the serial engine's final state; all events
-    // up to the horizon have already run, so this only advances now.
-    for (auto &s : sims)
-        s->runUntil(horizon);
-
-    ClusterExperimentResult out;
-    for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-        const client::FleetLoadGenerator &gen = *gens[t];
-        ClusterTenantResult tr;
-        tr.name = config.tenants[t].workload.name;
-        tr.offeredRps = config.tenants[t].offeredRps;
-        tr.achievedRps = gen.achievedRps();
-        tr.completed = gen.completed();
-        tr.p50Ns = gen.latencies().p50();
-        tr.p95Ns = gen.latencies().p95();
-        tr.p99Ns = gen.latencies().p99();
-        tr.qosViolated = gen.qosViolated();
-        tr.arrivals = gen.arrivals();
-        tr.shedded = gen.shedded();
-        tr.shedDropped = gen.shedDropped();
-
-        FleetAggregator agg(config.machines,
-                            std::max<sim::Tick>(
-                                1, config.agent.samplePeriod));
-        for (unsigned m = 0; m < config.machines; ++m) {
-            TenantMachineResult mr;
-            mr.achievedRps = gen.backendAchievedRps(m);
-            mr.completed = gen.backendCompleted(m);
-            mr.kernelSyscalls =
-                machines[m]->kernel().syscallCountFor(
-                    machines[m]->tenant(t).frontPid());
-            if (!agents.empty()) {
-                const MultiTenantAgent &agent = *agents[m];
-                mr.observedRps = agent.overallObservedRps(t);
-                mr.sendVarNs2 = agent.overallSendVariance(t);
-                mr.pollMeanDurNs = agent.overallPollMeanDurationNs(t);
-                mr.probeSendSyscalls = agent.sendSyscalls(t);
-                mr.samples = agent.tenant(t).samples().size();
-                mr.runqP99Ns = agent.overallRunqP99Ns(t);
-                agg.addSeries(m, agent.tenant(t).samples());
-                tr.observedRps += mr.observedRps;
-                tr.runqP99Ns = std::max(tr.runqP99Ns, mr.runqP99Ns);
-            }
-            tr.machines.push_back(mr);
-        }
-        tr.fleetSeries = agg.merged();
-
-        out.fleetOfferedRps += tr.offeredRps;
-        out.fleetAchievedRps += tr.achievedRps;
-        out.fleetObservedRps += tr.observedRps;
-        out.tenants.push_back(std::move(tr));
-    }
-    for (auto &machine : machines)
-        out.syscalls += machine->kernel().syscallCount();
-    for (auto &agent : agents) {
-        out.probeEvents += agent->runtime().eventsProcessed();
-        out.probeInsns += agent->runtime().insnsInterpreted();
-        out.probeCostNs += agent->runtime().totalProbeCost();
-        agent->stop();
-    }
-    for (auto &gen : gens)
-        gen->stop();
-
-    out.engineParallel = true;
-    out.lookaheadNs = lookahead;
-    out.barrierWindows = windows;
-    out.crossDomainMessages = messages;
-    return out;
-}
-
 } // namespace
 
 ClusterExperimentResult
@@ -428,15 +117,6 @@ runClusterExperiment(const ClusterExperimentConfig &config)
         single.agent = config.agent;
         return liftDegenerate(config, runExperiment(single));
     }
-
-    // Parallel engine dispatch. Conservative synchronisation needs a
-    // nonzero lookahead (jitter >= delay admits same-tick cross-domain
-    // delivery), and the controller reads agent state across domains
-    // every period, which the window protocol does not order — both fall
-    // back to the serial engine below, transparently and bit-identically.
-    if (config.clusterParallel && !config.controller.enabled &&
-        clusterLookahead(config) > 0)
-        return runClusterParallel(config);
 
     sim::Simulation sim(config.seed);
 
@@ -668,21 +348,7 @@ runClusterExperimentsParallel(
     const std::vector<ClusterExperimentConfig> &configs, unsigned threads)
 {
     std::vector<ClusterExperimentResult> out(configs.size());
-    if (configs.empty())
-        return out;
-
-    // Same worker pool and REQOBS_JOBS semantics as every other parallel
-    // harness: one process-wide thread budget. Nested calls (including a
-    // clusterParallel run launched from inside a pool batch) detect the
-    // pool and run serial-inline instead of deadlocking.
-    const unsigned workers = resolveWorkerCount(threads, configs.size());
-    if (workers <= 1 || inWorkerPool()) {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            out[i] = runClusterExperiment(configs[i]);
-        return out;
-    }
-
-    poolRun(configs.size(), workers, [&](std::size_t i) {
+    poolRun(configs.size(), threads, [&](std::size_t i) {
         out[i] = runClusterExperiment(configs[i]);
     });
     return out;

@@ -98,25 +98,6 @@ struct ClusterExperimentConfig
     /** Co-locate a best-effort CPU antagonist on every machine. */
     bool antagonist = false;
     workload::AntagonistConfig antagonistConfig;
-
-    /**
-     * @name Parallel discrete-event engine (see DESIGN.md §13).
-     *
-     * When enabled, every machine (and the client population) becomes an
-     * independent simulation domain executed on the shared worker pool,
-     * synchronised by conservative lookahead windows derived from the
-     * netem one-way delay. The result is bit-identical to the serial
-     * engine; configurations the conservative protocol cannot handle
-     * (zero lookahead because jitter >= delay, or an enabled controller,
-     * whose control loop reads across domains every period) silently
-     * fall back to the serial engine — check
-     * ClusterExperimentResult::engineParallel for what actually ran.
-     * @{
-     */
-    bool clusterParallel = false;
-    /** Domain workers; 0 = REQOBS_JOBS / hardware concurrency. */
-    unsigned clusterWorkers = 0;
-    /** @} */
 };
 
 /** One tenant's outcome on one machine. */
@@ -148,7 +129,14 @@ struct ClusterTenantResult
     std::uint64_t p95Ns = 0;
     std::uint64_t p99Ns = 0;
     bool qosViolated = false;
-    /** @name Admission-control outcome (zero without a controller). @{ */
+    /**
+     * @name Admission-control outcome.
+     *
+     * arrivals is set on every non-degenerate run (zero on the
+     * degenerate runExperiment() path); shedded and shedDropped stay
+     * zero without a controller.
+     * @{
+     */
     std::uint64_t arrivals = 0;    ///< logical requests generated
     std::uint64_t shedded = 0;     ///< admission rejections (incl. retries)
     std::uint64_t shedDropped = 0; ///< requests abandoned after max retries
@@ -173,47 +161,20 @@ struct ClusterExperimentResult
     std::int64_t probeCostNs = 0;
     /** Controller behaviour over the run (zeros when disabled). */
     ControllerStats controller;
-
-    /**
-     * @name Engine telemetry (appended; worker-count independent).
-     *
-     * These describe HOW the run executed, not what it computed, and are
-     * therefore excluded from the serial-vs-parallel bit-identity
-     * contract (they differ between engines by definition). They are
-     * identical across repeated runs and across worker counts of the
-     * parallel engine.
-     * @{
-     */
-    /** True when the parallel domain engine executed this run. */
-    bool engineParallel = false;
-    /** Conservative lookahead used (0 on the serial engine). */
-    sim::Tick lookaheadNs = 0;
-    /** Lookahead windows executed (0 on the serial engine). */
-    std::uint64_t barrierWindows = 0;
-    /** Envelopes exchanged across domain boundaries. */
-    std::uint64_t crossDomainMessages = 0;
-    /** @} */
 };
 
 /** True when @p config reduces to a plain runExperiment() call. */
 bool isDegenerateCluster(const ClusterExperimentConfig &config);
-
-/**
- * The conservative lookahead the parallel engine would use for
- * @p config: the minimum cross-domain (netem) latency. Zero means the
- * configuration is ineligible for parallel execution — clusterParallel
- * then falls back to the serial engine.
- */
-sim::Tick clusterLookahead(const ClusterExperimentConfig &config);
 
 /** Run one cluster experiment; fully deterministic for a given config. */
 ClusterExperimentResult
 runClusterExperiment(const ClusterExperimentConfig &config);
 
 /**
- * Run many independent cluster experiments on a worker pool; results in
- * input order, each bit-identical to a serial call (every run owns its
- * simulation). Thread resolution matches runExperimentsParallel().
+ * Run many independent cluster experiments on the shared worker pool;
+ * results in input order, each bit-identical to a serial call (every
+ * run owns its simulation). Thread resolution and the inline fallback
+ * for nested calls match runExperimentsParallel().
  */
 std::vector<ClusterExperimentResult>
 runClusterExperimentsParallel(

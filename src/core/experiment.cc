@@ -275,21 +275,11 @@ std::vector<ExperimentResult>
 runExperimentsParallel(const std::vector<ExperimentConfig> &configs,
                        unsigned threads)
 {
-    std::vector<ExperimentResult> out(configs.size());
-    if (configs.empty())
-        return out;
-
-    const unsigned workers = resolveWorkerCount(threads, configs.size());
-    if (workers <= 1 || inWorkerPool()) {
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            out[i] = runExperiment(configs[i]);
-        return out;
-    }
-
     // Each experiment owns a whole Simulation, so runs are independent;
     // indexed output slots make the result order (and content) identical
-    // to the serial loop above regardless of scheduling.
-    poolRun(configs.size(), workers,
+    // to a serial loop regardless of scheduling.
+    std::vector<ExperimentResult> out(configs.size());
+    poolRun(configs.size(), threads,
             [&](std::size_t i) { out[i] = runExperiment(configs[i]); });
     return out;
 }

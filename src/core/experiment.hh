@@ -189,7 +189,8 @@ ExperimentConfig sweepPointConfig(const ExperimentConfig &base,
  * @param threads Worker count; 0 = the REQOBS_JOBS env var (canonical;
  *        REQOBS_THREADS is accepted as a legacy alias) if set, else
  *        hardware concurrency. Clamped to [1, configs.size()];
- *        1 runs serially on the calling thread.
+ *        1 runs serially on the calling thread, and so does a call
+ *        made from inside a job of another parallel batch.
  */
 std::vector<ExperimentResult>
 runExperimentsParallel(const std::vector<ExperimentConfig> &configs,

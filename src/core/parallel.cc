@@ -21,11 +21,10 @@ namespace {
  * std::thread set per runExperimentsParallel call; figure sweeps issue
  * many short batches back-to-back, and on those the clone/join cost per
  * call ate the entire parallel win (the sweep bench measured ~1.0x).
- * The parallel cluster engine leans on the same property even harder:
- * it publishes one batch per lookahead window, thousands per run.
  * Threads are created lazily, grow to the largest worker count ever
  * requested, and block on a condition variable between batches, so
- * batch N+1 reuses batch N's warm threads.
+ * batch N+1 reuses batch N's warm threads. A batch narrower than the
+ * pool is joined by only as many threads as it asked for.
  */
 class WorkerPool
 {
@@ -40,10 +39,11 @@ public:
     WorkerPool &operator=(const WorkerPool &) = delete;
 
     /**
-     * True when called from a pool thread. A nested parallel call must
-     * run inline on its worker instead of publishing a second batch:
-     * the pool has one batch slot, and the outer batch's unfinished
-     * jobs would deadlock against the inner caller's wait.
+     * True on a pool thread, and on a caller while it drains its own
+     * batch. A nested parallel call must run inline there instead of
+     * publishing a second batch: the pool has one batch slot, and the
+     * outer batch's unfinished jobs would deadlock against the inner
+     * caller's wait.
      */
     static bool inWorker() { return inWorker_; }
 
@@ -60,17 +60,22 @@ public:
         auto batch = std::make_shared<Batch>();
         batch->fn = &fn;
         batch->jobs = jobs;
+        batch->workers = workers;
         {
             std::lock_guard<std::mutex> lock(mu_);
             // The caller participates, so the pool itself only ever
             // needs workers-1 threads for a workers-wide batch.
-            while (threads_.size() + 1 < workers)
-                threads_.emplace_back([this] { workerLoop(); });
+            while (threads_.size() + 1 < workers) {
+                const std::size_t index = threads_.size();
+                threads_.emplace_back([this, index] { workerLoop(index); });
+            }
             batch_ = batch;
             ++gen_;
             workCv_.notify_all();
         }
+        inWorker_ = true;
         drainAndSignal(*batch);
+        inWorker_ = false;
         std::unique_lock<std::mutex> lock(mu_);
         doneCv_.wait(lock, [&] {
             return batch->done.load(std::memory_order_acquire) == jobs;
@@ -82,6 +87,7 @@ private:
     {
         const std::function<void(std::size_t)> *fn = nullptr;
         std::size_t jobs = 0;
+        unsigned workers = 0; ///< participants, the caller included
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> done{0};
     };
@@ -118,7 +124,11 @@ private:
         }
     }
 
-    void workerLoop()
+    /**
+     * Pool thread @p index is participant index + 1 (the caller is
+     * participant 0), so it joins only batches at least that wide.
+     */
+    void workerLoop(std::size_t index)
     {
         inWorker_ = true;
         std::uint64_t seen = 0;
@@ -131,8 +141,11 @@ private:
                 if (stop_)
                     return;
                 seen = gen_;
-                b = batch_;
+                if (index + 1 < batch_->workers)
+                    b = batch_;
             }
+            if (!b)
+                continue;
             // A stale or already-drained batch claims next >= jobs on
             // the first try and falls straight back to the wait; fn is
             // never dereferenced after its batch completed.
@@ -170,16 +183,16 @@ resolveWorkerCount(unsigned requested, std::size_t jobs)
         std::min<std::size_t>(n, std::max<std::size_t>(jobs, 1)));
 }
 
-bool
-inWorkerPool()
-{
-    return WorkerPool::inWorker();
-}
-
 void
-poolRun(std::size_t jobs, unsigned workers,
+poolRun(std::size_t jobs, unsigned threads,
         const std::function<void(std::size_t)> &fn)
 {
+    const unsigned workers = resolveWorkerCount(threads, jobs);
+    if (workers <= 1 || WorkerPool::inWorker()) {
+        for (std::size_t i = 0; i < jobs; ++i)
+            fn(i);
+        return;
+    }
     WorkerPool::instance().run(jobs, workers, fn);
 }
 

@@ -2,14 +2,12 @@
  * @file
  * Process-wide worker pool shared by every parallel harness.
  *
- * Both batch harnesses — runExperimentsParallel's independent-run
- * fan-out and the parallel cluster engine's per-window domain execution
- * — draw their threads from the single persistent pool defined here, so
- * the process observes one thread budget (REQOBS_JOBS) no matter which
- * layer went parallel first. Nested parallel calls (a cluster run inside
- * a parallel sweep, or vice versa) detect the pool via inWorkerPool()
- * and degrade to serial-inline execution instead of deadlocking on the
- * pool's single batch slot.
+ * runExperimentsParallel and runClusterExperimentsParallel fan
+ * independent experiments out over the single persistent pool defined
+ * here, so the process observes one thread budget (REQOBS_JOBS) no
+ * matter which harness went parallel. A nested call (a sweep launched
+ * from inside a pool job) runs inline on the job's thread instead of
+ * deadlocking on the pool's single batch slot.
  */
 
 #ifndef REQOBS_CORE_PARALLEL_HH
@@ -28,24 +26,18 @@ namespace reqobs::core {
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobs);
 
 /**
- * True when the calling thread is a pool worker. Callers about to go
- * parallel must check this and run inline instead: the pool has one
- * batch slot, and publishing a nested batch from inside a batch
- * deadlocks the outer drain against the inner wait.
+ * Run fn(0) .. fn(jobs-1) and return once every index has completed.
+ * The worker count is resolveWorkerCount(@p threads, @p jobs), the
+ * calling thread included, and no more threads than that take part.
+ * When that count is 1, or the caller is itself running a pool job, the
+ * indices run inline on the calling thread in order. Otherwise indices
+ * are claimed from a shared atomic counter, so any participating thread
+ * may run any index; callers must make fn(i) independent of execution
+ * order. The pool's batch hand-off (mutex + condition variable)
+ * establishes happens-before between everything written by the workers
+ * during the batch and the caller after return.
  */
-bool inWorkerPool();
-
-/**
- * Run fn(0) .. fn(jobs-1) across @p workers threads (the calling thread
- * included) on the persistent pool and return once every index has
- * completed. Indices are claimed from a shared atomic counter, so any
- * thread may run any index; callers must make fn(i) independent of
- * execution order. The pool's batch hand-off (mutex + condition
- * variable) establishes happens-before between everything written by
- * the workers during the batch and the caller after return — the
- * synchronisation contract the cluster engine's barrier relies on.
- */
-void poolRun(std::size_t jobs, unsigned workers,
+void poolRun(std::size_t jobs, unsigned threads,
              const std::function<void(std::size_t)> &fn);
 
 } // namespace reqobs::core

@@ -7,14 +7,6 @@ namespace reqobs::net {
 Link::Link(sim::Simulation &sim, const NetemConfig &netem,
            const TcpConfig &tcp, std::shared_ptr<kernel::Socket> server_sock,
            ResponseFn on_response, fault::FaultInjector *fault)
-    : Link(sim, sim, netem, tcp, std::move(server_sock),
-           std::move(on_response), fault)
-{}
-
-Link::Link(sim::Simulation &client_sim, sim::Simulation &server_sim,
-           const NetemConfig &netem, const TcpConfig &tcp,
-           std::shared_ptr<kernel::Socket> server_sock,
-           ResponseFn on_response, fault::FaultInjector *fault)
     : serverSock_(std::move(server_sock))
 {
     if (!serverSock_)
@@ -22,22 +14,15 @@ Link::Link(sim::Simulation &client_sim, sim::Simulation &server_sim,
     if (!on_response)
         sim::fatal("Link: null response callback");
 
-    // The up pipe is clocked by the client domain (requests are sent
-    // from client execution) but delivers into the server domain, so
-    // the queueing-delay timestamp must come from the server's clock —
-    // identical clocks in the single-domain case.
-    auto *server_ptr = &server_sim;
+    // Fork order (up pipe, then down pipe) is part of the RNG contract.
+    auto *sim_ptr = &sim;
     up_ = std::make_unique<TcpPipe>(
-        client_sim, netem, tcp, client_sim.forkRng(),
-        [this, server_ptr](kernel::Message &&msg) {
-            serverSock_->deliver(std::move(msg), server_ptr->now());
+        sim, netem, tcp, sim.forkRng(),
+        [this, sim_ptr](kernel::Message &&msg) {
+            serverSock_->deliver(std::move(msg), sim_ptr->now());
         },
         fault);
-    // The down pipe's send() runs from server execution (socket tx
-    // hook): server clock, server-side RNG fork position preserved by
-    // the shared fork source in parallel mode.
-    down_ = std::make_unique<TcpPipe>(server_sim, netem, tcp,
-                                      server_sim.forkRng(),
+    down_ = std::make_unique<TcpPipe>(sim, netem, tcp, sim.forkRng(),
                                       std::move(on_response), fault);
     serverSock_->setTxHandler(
         [this](kernel::Message &&msg) { down_->send(std::move(msg)); });

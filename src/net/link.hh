@@ -38,20 +38,6 @@ class Link
          const TcpConfig &tcp, std::shared_ptr<kernel::Socket> server_sock,
          ResponseFn on_response, fault::FaultInjector *fault = nullptr);
 
-    /**
-     * Split-domain form (parallel cluster engine): the client endpoint
-     * (request sends, response arrivals) lives on @p client_sim, the
-     * server endpoint (socket delivery, response sends) on
-     * @p server_sim. The up pipe's send side is clocked by the client
-     * domain and the down pipe's by the server domain; with both
-     * arguments naming the same simulation this is exactly the
-     * single-domain constructor.
-     */
-    Link(sim::Simulation &client_sim, sim::Simulation &server_sim,
-         const NetemConfig &netem, const TcpConfig &tcp,
-         std::shared_ptr<kernel::Socket> server_sock,
-         ResponseFn on_response, fault::FaultInjector *fault = nullptr);
-
     ~Link();
 
     Link(const Link &) = delete;
@@ -63,9 +49,6 @@ class Link
     /** @name Introspection. @{ */
     const TcpPipe &upPipe() const { return *up_; }
     const TcpPipe &downPipe() const { return *down_; }
-    /** Mutable pipe access (cross-domain channel wiring). */
-    TcpPipe &upPipe() { return *up_; }
-    TcpPipe &downPipe() { return *down_; }
     const std::shared_ptr<kernel::Socket> &serverSocket() const
     {
         return serverSock_;

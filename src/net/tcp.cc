@@ -74,15 +74,6 @@ TcpPipe::send(kernel::Message &&msg)
     arrival = std::max(arrival, lastArrival_ + 1);
     lastArrival_ = arrival;
 
-    // Cross-domain mode: identical timing, but the delivery crosses a
-    // domain boundary through the channel instead of the local queue.
-    // Everything stateful (qdisc RNG, in-order horizon, counters above)
-    // already happened on the sender side, so the envelope is pure data.
-    if (remote_) {
-        remote_->post(arrival, now, std::move(msg));
-        return;
-    }
-
     auto alive = alive_;
     sim_.scheduleAt(arrival, [this, alive, msg = std::move(msg)]() mutable {
         if (!*alive)
@@ -90,14 +81,6 @@ TcpPipe::send(kernel::Message &&msg)
         ++delivered_;
         deliver_(std::move(msg));
     });
-}
-
-void
-TcpPipe::setRemote(CrossDomainChannel *channel)
-{
-    remote_ = channel;
-    if (channel)
-        channel->bindPipe(this);
 }
 
 } // namespace reqobs::net

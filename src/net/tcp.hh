@@ -24,7 +24,6 @@
 
 #include "fault/fault.hh"
 #include "kernel/types.hh"
-#include "net/channel.hh"
 #include "net/netem.hh"
 #include "sim/simulation.hh"
 
@@ -95,44 +94,6 @@ class TcpPipe
     /** Transmit one message; delivery is scheduled on the event queue. */
     void send(kernel::Message &&msg);
 
-    /**
-     * Switch the pipe into cross-domain mode (parallel cluster engine):
-     * send() keeps computing the full (re)transmission timing from the
-     * sender domain's clock and RNG, but instead of scheduling the
-     * delivery locally it posts an envelope into @p channel for the
-     * barrier scheduler to inject into the destination domain. Pass
-     * nullptr to restore direct scheduling. The pipe registers itself
-     * with the channel so the barrier can route envelopes back through
-     * deliverRemote().
-     */
-    void setRemote(CrossDomainChannel *channel);
-
-    /**
-     * Destination-domain entry point for cross-domain envelopes: runs
-     * the deliver function exactly as the locally scheduled callback
-     * would. Called only from the destination domain's thread, at the
-     * envelope's arrival tick.
-     */
-    void
-    deliverRemote(kernel::Message &&msg)
-    {
-        ++delivered_;
-        deliver_(std::move(msg));
-    }
-
-    /**
-     * The minimum latency any message (and retransmission schedule) can
-     * experience through a pipe with this qdisc configuration: the
-     * conservative lookahead of the parallel cluster engine. Zero when
-     * the configuration admits same-tick delivery (jitter >= delay),
-     * which disqualifies the parallel path.
-     */
-    static sim::Tick
-    minLatency(const NetemConfig &netem)
-    {
-        return netem.delay > netem.jitter ? netem.delay - netem.jitter : 0;
-    }
-
     /** @name Counters. @{ */
     std::uint64_t segmentsSent() const { return sent_; }
     std::uint64_t retransmissions() const { return retx_; }
@@ -148,7 +109,6 @@ class TcpPipe
     TcpConfig tcp_;
     DeliverFn deliver_;
     fault::FaultInjector *fault_ = nullptr;
-    CrossDomainChannel *remote_ = nullptr; ///< null = same-domain pipe
     sim::Tick lastArrival_ = 0; ///< in-order delivery horizon
     sim::Tick lastSend_ = -1;   ///< previous segment's send time
     sim::Tick rttEstimate_ = 0;

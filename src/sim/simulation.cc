@@ -40,14 +40,6 @@ Simulation::runUntil(Tick deadline)
         now_ = deadline;
 }
 
-void
-Simulation::runWindow(Tick end)
-{
-    while (!events_.empty() && events_.nextTick() < end) {
-        events_.popAndRun(now_);
-    }
-}
-
 bool
 Simulation::step()
 {

@@ -68,19 +68,6 @@ class Simulation
      */
     void runUntil(Tick deadline);
 
-    /**
-     * Conservative-window execution for the parallel cluster engine:
-     * run every event with tick < @p end (strictly), leaving later
-     * events queued and the clock at the last executed event. Unlike
-     * runUntil(), the clock is NOT advanced to the window boundary, so
-     * cross-domain deliveries injected at the barrier can still be
-     * scheduled anywhere in [now, end + lookahead).
-     */
-    void runWindow(Tick end);
-
-    /** Tick of the earliest pending event, or kTickMax when idle. */
-    Tick nextEventTick() const { return events_.nextTick(); }
-
     /** Convenience: runUntil(now() + duration). */
     void runFor(Tick duration) { runUntil(now_ + duration); }
 
@@ -91,22 +78,8 @@ class Simulation
      * Derive an independent random stream for one component.
      * Streams are a function of the master seed and the call order, so a
      * fixed construction order gives fixed streams.
-     *
-     * When a shared fork source is installed (parallel cluster setup),
-     * forks come from that external master instead: every domain of a
-     * decomposed cluster then draws from ONE stream in global
-     * construction order, reproducing the serial engine's fork sequence
-     * exactly (see core/cluster.cc).
      */
-    Rng forkRng() { return forkSource_ ? forkSource_->fork()
-                                       : masterRng_.fork(); }
-
-    /**
-     * Route forkRng() through @p source (nullptr restores the private
-     * master). Only meaningful during single-threaded construction; the
-     * parallel harness clears it before domains start executing.
-     */
-    void setForkSource(Rng *source) { forkSource_ = source; }
+    Rng forkRng() { return masterRng_.fork(); }
 
     /** The raw event queue (for components that manage timers directly). */
     EventQueue &events() { return events_; }
@@ -117,7 +90,6 @@ class Simulation
   private:
     EventQueue events_;
     Rng masterRng_;
-    Rng *forkSource_ = nullptr;
     Tick now_ = 0;
 
     /** Out-of-line argument validation (panics live in the .cc). */

@@ -5,10 +5,6 @@
  *
  * Every numeric field is rendered exactly (hex floats for doubles), so
  * two serializations compare equal iff the results are bit-identical.
- * Engine telemetry (engineParallel, lookaheadNs, barrierWindows,
- * crossDomainMessages) is excluded unless requested: those fields
- * describe which engine ran and differ between serial and parallel
- * executions by definition, while the physics must not.
  */
 
 #ifndef REQOBS_TESTS_CLUSTER_BYTES_HH
@@ -22,8 +18,7 @@
 namespace reqobs::test {
 
 inline std::string
-clusterBytes(const core::ClusterExperimentResult &r,
-             bool include_engine = false)
+clusterBytes(const core::ClusterExperimentResult &r)
 {
     std::string out;
     char buf[512];
@@ -48,33 +43,28 @@ clusterBytes(const core::ClusterExperimentResult &r,
          r.controller.breakerStreak);
     for (const core::ClusterTenantResult &t : r.tenants) {
         emit("tenant %s %a %a %a c=%llu p50=%llu p95=%llu p99=%llu "
-             "qos=%d arr=%llu shed=%llu drop=%llu\n",
+             "qos=%d arr=%llu shed=%llu drop=%llu rq=%a\n",
              t.name.c_str(), t.offeredRps, t.achievedRps, t.observedRps,
              (unsigned long long)t.completed, (unsigned long long)t.p50Ns,
              (unsigned long long)t.p95Ns, (unsigned long long)t.p99Ns,
              (int)t.qosViolated, (unsigned long long)t.arrivals,
              (unsigned long long)t.shedded,
-             (unsigned long long)t.shedDropped);
+             (unsigned long long)t.shedDropped, t.runqP99Ns);
         for (const core::TenantMachineResult &m : t.machines) {
             emit("  machine %a %a c=%llu sv=%a poll=%a pss=%llu ks=%llu "
-                 "s=%llu\n",
+                 "s=%llu rq=%a\n",
                  m.observedRps, m.achievedRps,
                  (unsigned long long)m.completed, m.sendVarNs2,
                  m.pollMeanDurNs, (unsigned long long)m.probeSendSyscalls,
                  (unsigned long long)m.kernelSyscalls,
-                 (unsigned long long)m.samples);
+                 (unsigned long long)m.samples, m.runqP99Ns);
         }
         for (const core::FleetSample &s : t.fleetSeries) {
-            emit("  fs t=%lld %a %a %a sc=%llu n=%u\n", (long long)s.t,
-                 s.rpsObsv, s.varianceNs2, s.slack,
-                 (unsigned long long)s.sendCount, s.contributors);
+            emit("  fs t=%lld %a %a %a sc=%llu n=%u rq=%a\n",
+                 (long long)s.t, s.rpsObsv, s.varianceNs2, s.slack,
+                 (unsigned long long)s.sendCount, s.contributors,
+                 s.runqP99Ns);
         }
-    }
-    if (include_engine) {
-        emit("engine par=%d la=%lld w=%llu msg=%llu\n",
-             (int)r.engineParallel, (long long)r.lookaheadNs,
-             (unsigned long long)r.barrierWindows,
-             (unsigned long long)r.crossDomainMessages);
     }
     return out;
 }

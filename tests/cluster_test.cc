@@ -1,15 +1,20 @@
 /**
  * @file
  * Fleet-layer tests: tenant-scoped probe bytecode (verified tgid
- * attribution), the load balancer, fleet sample aggregation, and the
+ * attribution), the load balancer, fleet sample aggregation, the
  * cluster experiment harness (including its degenerate single-machine
- * equivalence with runExperiment).
+ * equivalence with runExperiment), and cluster sweeps on the worker
+ * pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cluster_bytes.hh"
 #include "core/cluster.hh"
+#include "core/parallel.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
 #include "kernel/kernel.hh"
@@ -339,76 +344,76 @@ TEST(ClusterExperimentTest, AntagonistStaysOutOfTenantCounters)
 }
 
 // ---------------------------------------------------------------------
-// Parallel discrete-event engine: serial equivalence and fallbacks.
+// Cluster sweeps on the worker pool.
 
-/** A fleet config with nonzero lookahead (delay > jitter). */
-core::ClusterExperimentConfig
-parallelClusterConfig()
+/**
+ * Three non-degenerate configs that exercise different cluster paths:
+ * two tenants behind least-connections balancing over a lossy network,
+ * a co-located CPU antagonist, and the discrete scheduler with runqlat
+ * probes.
+ */
+std::vector<core::ClusterExperimentConfig>
+batchConfigs()
 {
-    core::ClusterExperimentConfig cc;
-    core::ClusterTenantSpec t;
-    t.workload = workload::workloadByName("img-dnn");
-    t.offeredRps = 600.0;
-    t.requests = 800;
-    cc.tenants.push_back(std::move(t));
-    cc.machines = 3;
-    cc.netem.delay = sim::microseconds(100);
-    cc.netem.jitter = sim::microseconds(20);
-    cc.netem.lossProbability = 0.005;
-    cc.seed = 23;
-    return cc;
+    core::ClusterTenantSpec img;
+    img.workload = workload::workloadByName("img-dnn");
+    img.offeredRps = 400.0;
+    img.requests = 500;
+    core::ClusterTenantSpec xapian = img;
+    xapian.workload = workload::workloadByName("xapian");
+    xapian.offeredRps = 300.0;
+
+    core::ClusterExperimentConfig base;
+    base.tenants = {img};
+    // Short runs: close windows early so every fleet series is filled.
+    base.agent.minWindowSyscalls = 64;
+
+    std::vector<core::ClusterExperimentConfig> out(3, base);
+    out[0].tenants = {img, xapian};
+    out[0].machines = 3;
+    out[0].lbPolicy = net::LbPolicy::LeastConnections;
+    out[0].netem.delay = sim::microseconds(100);
+    out[0].netem.jitter = sim::microseconds(20);
+    out[0].netem.lossProbability = 0.005;
+    out[0].seed = 23;
+    out[1].antagonist = true;
+    out[1].seed = 29;
+    out[2].machines = 2;
+    out[2].sched = kernel::SchedModel::Discrete;
+    out[2].agent.runqlatHistogram = true;
+    out[2].seed = 31;
+    return out;
 }
 
-TEST(ParallelClusterTest, BitIdenticalToSerialEngine)
+TEST(ClusterBatchTest, PoolBatchesMatchSerialRunsAndNestInline)
 {
-    core::ClusterExperimentConfig cc = parallelClusterConfig();
-    const auto serial = core::runClusterExperiment(cc);
-    EXPECT_FALSE(serial.engineParallel);
+    const auto configs = batchConfigs();
+    std::vector<std::string> serial;
+    for (const auto &cc : configs) {
+        ASSERT_FALSE(core::isDegenerateCluster(cc));
+        serial.push_back(test::clusterBytes(core::runClusterExperiment(cc)));
+    }
 
-    cc.clusterParallel = true;
-    cc.clusterWorkers = 2;
-    const auto par = core::runClusterExperiment(cc);
-    EXPECT_TRUE(par.engineParallel);
-    EXPECT_EQ(par.lookaheadNs, core::clusterLookahead(cc));
-    EXPECT_GT(par.barrierWindows, 0u);
-    EXPECT_GT(par.crossDomainMessages, 0u);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        const auto res = core::runClusterExperimentsParallel(configs, threads);
+        ASSERT_EQ(res.size(), configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            EXPECT_EQ(serial[i], test::clusterBytes(res[i]))
+                << "threads=" << threads << " config=" << i;
+    }
 
-    // The physics — every latency percentile, every per-machine counter,
-    // every fleet sample — must be byte-for-byte what the serial engine
-    // computed.
-    EXPECT_EQ(test::clusterBytes(serial), test::clusterBytes(par));
-}
-
-TEST(ParallelClusterTest, ZeroLookaheadFallsBackToSerial)
-{
-    core::ClusterExperimentConfig cc = parallelClusterConfig();
-    cc.netem.jitter = cc.netem.delay; // same-tick delivery possible
-    ASSERT_EQ(core::clusterLookahead(cc), 0);
-
-    const auto serial = core::runClusterExperiment(cc);
-    cc.clusterParallel = true;
-    const auto par = core::runClusterExperiment(cc);
-    // The conservative protocol cannot run: silently identical serial.
-    EXPECT_FALSE(par.engineParallel);
-    EXPECT_EQ(par.barrierWindows, 0u);
-    EXPECT_EQ(test::clusterBytes(serial, true),
-              test::clusterBytes(par, true));
-}
-
-TEST(ParallelClusterTest, ControllerForcesSerialFallback)
-{
-    core::ClusterExperimentConfig cc = parallelClusterConfig();
-    cc.controller.enabled = true;
-
-    const auto serial = core::runClusterExperiment(cc);
-    cc.clusterParallel = true;
-    const auto par = core::runClusterExperiment(cc);
-    // The control loop reads agent state across domains every period;
-    // the window protocol does not order those reads, so the engine
-    // must refuse and fall back.
-    EXPECT_FALSE(par.engineParallel);
-    EXPECT_EQ(test::clusterBytes(serial, true),
-              test::clusterBytes(par, true));
+    // A cluster sweep launched from inside a pool job must run inline on
+    // that job's thread instead of waiting on the busy pool.
+    std::vector<std::vector<core::ClusterExperimentResult>> nested(2);
+    core::poolRun(nested.size(), 2, [&](std::size_t j) {
+        nested[j] = core::runClusterExperimentsParallel(configs, 4);
+    });
+    for (std::size_t j = 0; j < nested.size(); ++j) {
+        ASSERT_EQ(nested[j].size(), configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            EXPECT_EQ(serial[i], test::clusterBytes(nested[j][i]))
+                << "job=" << j << " config=" << i;
+    }
 }
 
 } // namespace

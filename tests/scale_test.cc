@@ -5,19 +5,23 @@
  * engine (including the event-major fallback when probes share state),
  * the native compiler must cover the whole probe library, per-CPU array
  * shards must fold to the unsharded totals, and the persistent worker
- * pool must return bit-identical experiment results across reuse.
+ * pool must return bit-identical experiment results across reuse while
+ * keeping each batch to its thread budget.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "cluster_bytes.hh"
-#include "core/cluster.hh"
 #include "core/experiment.hh"
+#include "core/parallel.hh"
 #include "ebpf/assembler.hh"
 #include "ebpf/maps.hh"
 #include "ebpf/native.hh"
@@ -410,55 +414,26 @@ TEST(WorkerPoolTest, ReusedPoolReturnsBitIdenticalResults)
     EXPECT_LE(core::effectiveParallelJobs(3), 3u);
 }
 
-// ---------------------------------------------------------------------
-// Parallel cluster engine: determinism across runs and worker counts.
-
-/** A 4-machine fleet with nonzero lookahead for the domain engine. */
-core::ClusterExperimentConfig
-domainEngineConfig()
+TEST(WorkerPoolTest, NarrowBatchAfterWideBatchKeepsItsThreadBudget)
 {
-    core::ClusterExperimentConfig cc;
-    core::ClusterTenantSpec t;
-    t.workload = workload::workloadByName("img-dnn");
-    t.offeredRps = 800.0;
-    t.requests = 1000;
-    cc.tenants.push_back(std::move(t));
-    cc.machines = 4;
-    cc.netem.delay = sim::microseconds(150);
-    cc.netem.jitter = sim::microseconds(30);
-    cc.netem.lossProbability = 0.01;
-    cc.seed = 31;
-    cc.clusterParallel = true;
-    return cc;
-}
+    // Ids of the threads that ran any index of one poolRun batch.
+    auto threadsUsed = [](unsigned threads) {
+        std::mutex mu;
+        std::set<std::thread::id> ids;
+        core::poolRun(64, threads, [&](std::size_t) {
+            // Long enough for every woken pool thread to claim an index.
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            std::lock_guard<std::mutex> lock(mu);
+            ids.insert(std::this_thread::get_id());
+        });
+        return ids;
+    };
 
-TEST(ParallelClusterDeterminismTest, DoubleRunIsByteIdentical)
-{
-    core::ClusterExperimentConfig cc = domainEngineConfig();
-    cc.clusterWorkers = 2;
-    const auto a = core::runClusterExperiment(cc);
-    const auto b = core::runClusterExperiment(cc);
-    EXPECT_TRUE(a.engineParallel);
-    // Full serialization including engine telemetry: the same seed must
-    // reproduce the same windows and message counts, not just the same
-    // physics.
-    EXPECT_EQ(test::clusterBytes(a, true), test::clusterBytes(b, true));
-}
-
-TEST(ParallelClusterDeterminismTest, WorkerCountDoesNotChangeBytes)
-{
-    core::ClusterExperimentConfig cc = domainEngineConfig();
-    std::string reference;
-    for (unsigned workers : {1u, 2u, 8u}) {
-        cc.clusterWorkers = workers;
-        const auto res = core::runClusterExperiment(cc);
-        EXPECT_TRUE(res.engineParallel) << workers;
-        const std::string bytes = test::clusterBytes(res, true);
-        if (reference.empty())
-            reference = bytes;
-        else
-            EXPECT_EQ(reference, bytes) << "workers=" << workers;
-    }
+    threadsUsed(4); // grows the pool to three threads besides the caller
+    EXPECT_LE(threadsUsed(2).size(), 2u);
+    const auto one = threadsUsed(1);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(*one.begin(), std::this_thread::get_id());
 }
 
 } // namespace
