@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Full pre-merge check: Release build + tier-1 tests (default and
-# native-engine runs), sanitizer build + tier-1 tests, then the gated
+# native-engine runs), the figure-bench golden hashes and benchmark
+# workload digests, sanitizer build + tier-1 tests, then the gated
 # host-perf report (BENCH_perf.json), the gated scale report
 # (BENCH_scale.json), the closed-loop control report
 # (BENCH_control.json), the front-door storm report
-# (BENCH_frontdoor.json) and the run-queue-latency report
-# (BENCH_runqlat.json) at the repo root. Run from anywhere; all paths
-# are repo-relative.
+# (BENCH_frontdoor.json), the run-queue-latency report
+# (BENCH_runqlat.json) at the repo root and the benchmark smoke test.
+# Run from anywhere; all paths are repo-relative.
 #
 # Usage: scripts/check.sh [--no-sanitize] [--no-bench]
 set -euo pipefail
@@ -108,6 +109,22 @@ for fig in bench_fig1_trace bench_fig2_rps_correlation \
 done
 (cd "$tmp" && sha256sum -c "$repo/scripts/figure_bench_golden.sha256")
 
+# The figure hashes never reach the cluster, discrete-scheduler and
+# front-door paths; the benchmark's four workloads do. Their result
+# digests at a fixed seed and scale are the same byte contract there.
+echo "== Benchmark workload digests =="
+grep -v '^#' "$repo/scripts/perfbench_golden_digests" |
+    while read -r workload want; do
+        got="$(python3 "$repo/perfbench/run.py" --workload "$workload" \
+            --seed 3 --scale 0.05 --seconds 0.5 --trace 0 |
+            sed -n 's/.*, digest \([0-9a-f]*\)$/\1/p')"
+        if [ "$got" != "$want" ]; then
+            echo "$workload: digest '$got', want $want" >&2
+            exit 1
+        fi
+        echo "$workload: OK"
+    done
+
 if [ "$run_sanitize" = 1 ]; then
     echo "== Sanitizer build + tests =="
     cmake -B "$repo/build-check-asan" -S "$repo" \
@@ -178,6 +195,10 @@ if [ "$run_bench" = 1 ]; then
     echo "== Run-queue latency report =="
     "$repo/build-check/bench/bench_runqlat" \
         --json "$repo/BENCH_runqlat.json"
+    # End-to-end benchmark smoke: every workload prints every metric,
+    # the traced run reproduces the untraced one, no self-check fails.
+    echo "== Benchmark smoke test =="
+    python3 "$repo/perfbench/smoke_test.py"
 fi
 
 echo "== check.sh OK =="

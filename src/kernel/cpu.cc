@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -92,7 +93,7 @@ std::size_t
 CpuModel::activeJobs() const
 {
     if (config_.sched == SchedModel::Gps)
-        return jobs_.size();
+        return remaining_.size();
     std::size_t n = 0;
     for (const Core &core : cores_) {
         n += core.queue.size();
@@ -124,11 +125,14 @@ CpuModel::cancel(JobId id)
 {
     if (config_.sched == SchedModel::Gps) {
         advance();
-        const auto it =
-            std::find_if(jobs_.begin(), jobs_.end(),
-                         [id](const Job &j) { return j.id == id; });
-        if (it != jobs_.end()) {
-            jobs_.erase(it);
+        const auto it = std::find(ids_.begin(), ids_.end(), id);
+        if (it != ids_.end()) {
+            const auto i = static_cast<std::size_t>(it - ids_.begin());
+            takeCallback(cbSlot_[i]);
+            removeJob(i);
+            if (!remaining_.empty())
+                minRemaining_ = *std::min_element(remaining_.begin(),
+                                                  remaining_.end());
             reschedule();
         }
         return;
@@ -183,14 +187,14 @@ CpuModel::servedTicks() const
     return served_;
 }
 
-// --- GPS engine (legacy fluid sharing; bit-exact with the original) ---
+// --- GPS engine (fluid sharing; bit-exact with the original) ---
 
 double
 CpuModel::currentRate() const
 {
-    if (jobs_.empty())
+    if (remaining_.empty())
         return 0.0;
-    const double n = static_cast<double>(jobs_.size());
+    const double n = static_cast<double>(remaining_.size());
     const double c = static_cast<double>(config_.cores);
     return config_.speed * std::min(1.0, c / n);
 }
@@ -205,9 +209,10 @@ CpuModel::advance()
     const double elapsed = static_cast<double>(now - lastAdvance_);
     if (rate > 0.0) {
         const double work = elapsed * rate;
-        for (Job &job : jobs_)
-            job.remaining -= work;
-        served_ += work * static_cast<double>(jobs_.size());
+        for (double &r : remaining_)
+            r -= work;
+        minRemaining_ -= work;
+        served_ += work * static_cast<double>(remaining_.size());
     }
     lastAdvance_ = now;
 }
@@ -216,29 +221,58 @@ CpuModel::JobId
 CpuModel::submitGps(sim::Tick demand, std::function<void()> on_done)
 {
     advance();
-    const double factor = jitterFactor(jobs_.size() + 1);
+    const double factor = jitterFactor(remaining_.size() + 1);
 
     const JobId id = nextId_++;
-    Job job;
-    job.id = id;
-    job.remaining = std::max(1.0, static_cast<double>(demand) * factor);
-    job.onDone = std::move(on_done);
-    jobs_.push_back(std::move(job));
+    const double work = std::max(1.0, static_cast<double>(demand) * factor);
+    std::uint32_t slot;
+    if (callbackFree_.empty()) {
+        slot = static_cast<std::uint32_t>(callbacks_.size());
+        callbacks_.push_back(std::move(on_done));
+    } else {
+        slot = callbackFree_.back();
+        callbackFree_.pop_back();
+        callbacks_[slot] = std::move(on_done);
+    }
+    minRemaining_ =
+        remaining_.empty() ? work : std::min(minRemaining_, work);
+    remaining_.push_back(work);
+    ids_.push_back(id);
+    cbSlot_.push_back(slot);
     reschedule();
     return id;
+}
+
+std::function<void()>
+CpuModel::takeCallback(std::uint32_t slot)
+{
+    std::function<void()> fn = std::move(callbacks_[slot]);
+    callbacks_[slot] = nullptr;
+    callbackFree_.push_back(slot);
+    return fn;
+}
+
+void
+CpuModel::removeJob(std::size_t i)
+{
+    remaining_[i] = remaining_.back();
+    remaining_.pop_back();
+    ids_[i] = ids_.back();
+    ids_.pop_back();
+    cbSlot_[i] = cbSlot_.back();
+    cbSlot_.pop_back();
 }
 
 void
 CpuModel::reschedule()
 {
+    // Always a fresh event, even when the tick is unchanged: events on
+    // one tick run in scheduling order, and the new seq is part of it.
     completionEvent_.cancel();
-    if (jobs_.empty())
+    if (remaining_.empty())
         return;
-    double min_remaining = jobs_.front().remaining;
-    for (const Job &job : jobs_)
-        min_remaining = std::min(min_remaining, job.remaining);
     const double rate = currentRate();
-    const double dt = std::max(0.0, min_remaining) / rate;
+    const double dt = std::max(0.0, minRemaining_) / rate;
     const sim::Tick delay =
         static_cast<sim::Tick>(std::ceil(std::max(0.0, dt)));
     completionEvent_ = sim_.schedule(delay, [this] { onCompletion(); });
@@ -248,23 +282,29 @@ void
 CpuModel::onCompletion()
 {
     advance();
-    std::vector<std::function<void()>> done;
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < jobs_.size(); ++r) {
-        if (jobs_[r].remaining <= kEpsilon) {
-            done.push_back(std::move(jobs_[r].onDone));
+    // One pass: swap-remove finished jobs (the job swapped in is looked
+    // at next) and take the survivors' minimum.
+    finished_.clear();
+    double min_left = std::numeric_limits<double>::infinity();
+    std::size_t i = 0;
+    while (i < remaining_.size()) {
+        if (remaining_[i] <= kEpsilon) {
+            finished_.emplace_back(ids_[i], cbSlot_[i]);
+            removeJob(i);
         } else {
-            if (w != r)
-                jobs_[w] = std::move(jobs_[r]);
-            ++w;
+            min_left = std::min(min_left, remaining_[i]);
+            ++i;
         }
     }
-    jobs_.resize(w);
-    completed_ += done.size();
+    minRemaining_ = min_left;
+    completed_ += finished_.size();
     reschedule();
-    // Run callbacks after rescheduling: they commonly submit new jobs.
-    for (auto &fn : done)
-        fn();
+    // Run callbacks after rescheduling (they commonly submit new jobs),
+    // in submission order: ids are monotonic.
+    if (finished_.size() > 1)
+        std::sort(finished_.begin(), finished_.end());
+    for (const auto &done : finished_)
+        takeCallback(done.second)();
 }
 
 // --- Discrete engine (per-core run queues + quantum dispatch) ---

@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -183,14 +184,7 @@ class CpuModel
     std::uint64_t preemptions() const { return preemptions_; }
 
   private:
-    struct Job
-    {
-        JobId id = 0;
-        double remaining = 0.0; ///< demand left, in CPU ticks
-        std::function<void()> onDone;
-    };
-
-    /** Discrete-dispatch task: a Job plus identity and placement. */
+    /** Discrete-dispatch task: a job plus identity and placement. */
     struct Task
     {
         JobId id = 0;
@@ -216,9 +210,24 @@ class CpuModel
     SchedEventHook hook_;
     fault::FaultInjector *fault_ = nullptr;
 
-    // GPS state: jobs in insertion order (ids are monotonic, so this is
-    // also id order — the completion-callback order contract).
-    std::vector<Job> jobs_;
+    // GPS state: one entry per active job in three parallel arrays, in
+    // no particular order (a finished or cancelled job is swap-removed).
+    // Callbacks of jobs finishing together are sorted by id before they
+    // fire, which keeps the submission-order contract.
+    std::vector<double> remaining_;    ///< demand left, in CPU ticks
+    std::vector<JobId> ids_;
+    std::vector<std::uint32_t> cbSlot_; ///< index into callbacks_
+    /**
+     * min(remaining_) whenever jobs are active. advance() subtracts the
+     * same rounded work from every job and from this copy; rounding is
+     * monotone, so the carried value equals a re-scan bit for bit.
+     */
+    double minRemaining_ = 0.0;
+    /** Completion callbacks, recycled through callbackFree_. */
+    std::vector<std::function<void()>> callbacks_;
+    std::vector<std::uint32_t> callbackFree_;
+    /** (id, callback slot) of finished jobs; reused by onCompletion(). */
+    std::vector<std::pair<JobId, std::uint32_t>> finished_;
     JobId nextId_ = 1;
     sim::Tick lastAdvance_ = 0;
     sim::EventId completionEvent_;
@@ -243,6 +252,14 @@ class CpuModel
     void reschedule();
     void onCompletion();
     JobId submitGps(sim::Tick demand, std::function<void()> on_done);
+    /** Swap-remove job @p i; its callback slot is the caller's to free. */
+    void removeJob(std::size_t i);
+    /**
+     * Move a callback out of the pool and free its slot. The caller
+     * runs (or drops) what is returned, so a callback that submits jobs
+     * (reusing its slot or growing the pool) never runs from the pool.
+     */
+    std::function<void()> takeCallback(std::uint32_t slot);
     /** @} */
 
     /** @name Discrete engine. @{ */

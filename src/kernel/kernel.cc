@@ -308,9 +308,8 @@ Kernel::enqueueIncomingConnection(Pid pid, Fd listen_fd,
 std::pair<Fd, Fd>
 Kernel::socketPair(Pid pid_a, Pid pid_b, sim::Tick latency)
 {
-    static std::uint64_t pair_id = 1u << 30;
-    auto sock_a = std::make_shared<Socket>(pair_id++);
-    auto sock_b = std::make_shared<Socket>(pair_id++);
+    auto sock_a = std::make_shared<Socket>(nextPairId_++);
+    auto sock_b = std::make_shared<Socket>(nextPairId_++);
 
     // Cross-wire: what A sends arrives at B after `latency`, and back.
     // Weak capture: each handler lives inside its peer socket, so owning

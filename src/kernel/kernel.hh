@@ -437,6 +437,8 @@ class Kernel
     std::map<Tid, Thread> threads_;
     Pid nextPid_ = 1000;
     Tid nextTid_ = 5000;
+    /** Connection ids of socketPair() sockets, counted per kernel. */
+    std::uint64_t nextPairId_ = 1u << 30;
     std::uint64_t syscalls_ = 0;
     std::map<Pid, std::uint64_t> syscallsByTgid_;
     fault::FaultInjector *fault_ = nullptr;

@@ -30,12 +30,10 @@ EventQueue::prepare(Tick when)
     } else {
         slot = static_cast<std::uint32_t>(slab_.size());
         slab_.emplace_back();
+        pos_.push_back(kNotQueued);
     }
-    State &st = slab_[slot];
-    st.when = when;
-    st.cancelled = false;
-    st.fired = false;
-    heap_.push(HeapEntry{when, nextSeq_++, slot});
+    heap_.emplace_back();
+    siftUp(heap_.size() - 1, HeapEntry{when, nextSeq_++, slot});
     return slot;
 }
 
@@ -50,52 +48,71 @@ EventQueue::release(std::uint32_t slot)
 }
 
 void
-EventQueue::skipCancelled()
+EventQueue::siftUp(std::size_t i, HeapEntry e)
 {
-    while (!heap_.empty() && slab_[heap_.top().slot].cancelled) {
-        release(heap_.top().slot);
-        heap_.pop();
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!e.before(heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        pos_[heap_[i].slot] = static_cast<std::uint32_t>(i);
+        i = parent;
     }
+    heap_[i] = e;
+    pos_[e.slot] = static_cast<std::uint32_t>(i);
 }
 
-Tick
-EventQueue::nextTick() const
+void
+EventQueue::removeAt(std::size_t i)
 {
-    // Lazily drop cancelled entries so the reported bound is exact.
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipCancelled();
-    return heap_.empty() ? kTickMax : heap_.top().when;
-}
-
-bool
-EventQueue::empty() const
-{
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipCancelled();
-    return heap_.empty();
+    pos_[heap_[i].slot] = kNotQueued;
+    const HeapEntry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (i == n)
+        return;
+    // Refill the hole with the last entry. That entry nearly always
+    // belongs near the bottom, so sink the hole to a leaf along the
+    // smaller children first (one comparison per level), then let the
+    // entry climb from there, above i if it must.
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && heap_[child + 1].before(heap_[child]))
+            ++child;
+        heap_[i] = heap_[child];
+        pos_[heap_[i].slot] = static_cast<std::uint32_t>(i);
+        i = child;
+    }
+    siftUp(i, last);
 }
 
 bool
 EventQueue::popAndRun(Tick &now)
 {
-    skipCancelled();
+    // Destroy the captures of events cancelled since the last pop. A
+    // destructor may cancel further events, so drain until empty.
+    while (cancelled_ != kNoSlot) {
+        const std::uint32_t slot = cancelled_;
+        cancelled_ = slab_[slot].nextCancelled;
+        release(slot);
+    }
     if (heap_.empty())
         return false;
-    const HeapEntry top = heap_.top();
-    heap_.pop();
+    const HeapEntry top = heap_[0];
+    // Leaving the heap first makes a callback cancelling itself through
+    // a retained handle a no-op. The slot is only released after the
+    // callback returns, so self-rescheduling callbacks never see their
+    // own captures destroyed (slab addresses are stable even if
+    // scheduling grows the slab mid-callback).
+    removeAt(0);
     if (top.when < lastPopped_)
         panic("EventQueue: time went backwards");
     lastPopped_ = top.when;
     now = top.when;
-    State &st = slab_[top.slot];
-    // Marked fired before invocation so a callback cancelling itself
-    // through a retained handle is a no-op. The slot is only released
-    // after the callback returns, so self-rescheduling callbacks never
-    // see their own captures destroyed (slab addresses are stable even
-    // if scheduling grows the slab mid-callback).
-    st.fired = true;
     ++executed_;
-    st.cb();
+    slab_[top.slot].cb();
     release(top.slot);
     return true;
 }
@@ -103,17 +120,18 @@ EventQueue::popAndRun(Tick &now)
 bool
 EventQueue::slotPending(std::uint32_t slot, std::uint32_t gen) const
 {
-    if (slot >= slab_.size())
-        return false;
-    const State &st = slab_[slot];
-    return st.gen == gen && !st.cancelled && !st.fired;
+    return slot < pos_.size() && pos_[slot] != kNotQueued &&
+           slab_[slot].gen == gen;
 }
 
 void
 EventQueue::cancelSlot(std::uint32_t slot, std::uint32_t gen)
 {
-    if (slotPending(slot, gen))
-        slab_[slot].cancelled = true;
+    if (!slotPending(slot, gen))
+        return;
+    removeAt(pos_[slot]);
+    slab_[slot].nextCancelled = cancelled_;
+    cancelled_ = slot;
 }
 
 } // namespace reqobs::sim

@@ -5,15 +5,19 @@
  * Events are callbacks scheduled at absolute ticks. Ties are broken by
  * insertion order so execution is fully deterministic. Events can be
  * cancelled through the EventId handle returned at scheduling time
- * (used heavily by timeouts: epoll timeouts, TCP retransmission timers).
+ * (used heavily by timeouts: epoll timeouts, TCP retransmission timers,
+ * and the CPU model's completion event, which is re-armed on every
+ * submit and completion).
  *
  * Storage is allocation-free per event: event states live in a pooled
  * slab (a chunked deque recycled through a free list) and callbacks are
  * stored inline in a fixed-size buffer instead of a heap-backed
- * std::function. The heap orders lightweight (tick, seq, slot) entries
- * by value. The seed design paid two heap allocations per event
- * (shared_ptr<State> + std::function); a sweep schedules tens of
- * millions, which made the allocator the simulator's hottest path.
+ * std::function. An indexed binary heap orders lightweight
+ * (tick, seq, slot) entries; a dense per-slot position array lets
+ * cancel() remove an entry from the middle of the heap at once, so the
+ * heap only ever holds live events. A cancelled slot's captures are
+ * destroyed at the start of the next popAndRun(), never inside the
+ * canceller's frame, and cancel() allocates nothing.
  */
 
 #ifndef REQOBS_SIM_EVENT_QUEUE_HH
@@ -23,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -140,15 +143,12 @@ class EventQueue
     }
 
     /** Tick of the earliest pending event, or kTickMax if none. */
-    Tick nextTick() const;
+    Tick nextTick() const { return heap_.empty() ? kTickMax : heap_[0].when; }
 
-    /** True if no live (non-cancelled) events remain. */
-    bool empty() const;
+    /** True if no pending events remain. */
+    bool empty() const { return heap_.empty(); }
 
-    /**
-     * Number of queued entries. Upper bound on live events: entries
-     * cancelled while buried in the heap are still counted until popped.
-     */
+    /** Number of pending events (cancelled ones are never counted). */
     std::size_t size() const { return heap_.size(); }
 
     /**
@@ -170,10 +170,9 @@ class EventQueue
     /** One pooled event state. Addresses are stable (deque chunks). */
     struct State
     {
-        Tick when = 0;
         std::uint32_t gen = 0;
-        bool cancelled = false;
-        bool fired = false;
+        /** Next slot on the cancelled list (fits in cb's alignment pad). */
+        std::uint32_t nextCancelled = 0;
         InlineCallback cb;
     };
 
@@ -183,22 +182,32 @@ class EventQueue
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
-    };
 
-    struct Later
-    {
+        /** Strict (when, seq) order; seqs are unique, so it is total. */
         bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
+        before(const HeapEntry &o) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
+            return when != o.when ? when < o.when : seq < o.seq;
         }
     };
 
+    /** pos_ value of a slot with no heap entry (fired, cancelled, free). */
+    static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
+    /** End of the cancelled list. */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
     std::deque<State> slab_;
     std::vector<std::uint32_t> free_;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> heap_;
+    /**
+     * Head of the cancelled slots whose captures the next pop destroys,
+     * linked through State::nextCancelled so that cancel() never
+     * allocates (destructors cancel events, too).
+     */
+    std::uint32_t cancelled_ = kNoSlot;
+    /** Binary min-heap on (when, seq); holds exactly the pending events. */
+    std::vector<HeapEntry> heap_;
+    /** Heap index of each slot's entry, or kNotQueued. */
+    std::vector<std::uint32_t> pos_;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     Tick lastPopped_ = 0;
@@ -206,11 +215,14 @@ class EventQueue
     /** Validate @p when, claim a slot, push the heap entry. */
     std::uint32_t prepare(Tick when);
 
-    /** Return a popped/skipped slot to the free list (bumps gen). */
+    /** Return a fired/cancelled slot to the free list (bumps gen). */
     void release(std::uint32_t slot);
 
-    /** Drop cancelled entries from the top of the heap. */
-    void skipCancelled();
+    /** Remove the heap entry at index @p i, restoring the heap. */
+    void removeAt(std::size_t i);
+
+    /** Fill the hole at index @p i with @p e, moving it up as needed. */
+    void siftUp(std::size_t i, HeapEntry e);
 
     bool slotPending(std::uint32_t slot, std::uint32_t gen) const;
     void cancelSlot(std::uint32_t slot, std::uint32_t gen);

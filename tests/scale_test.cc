@@ -6,12 +6,14 @@
  * the native compiler must cover the whole probe library, per-CPU array
  * shards must fold to the unsharded totals, and the persistent worker
  * pool must return bit-identical experiment results across reuse while
- * keeping each batch to its thread budget.
+ * keeping each batch to its thread budget, and experiments sharing the
+ * pool must share no mutable state.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -434,6 +436,61 @@ TEST(WorkerPoolTest, NarrowBatchAfterWideBatchKeepsItsThreadBudget)
     const auto one = threadsUsed(1);
     ASSERT_EQ(one.size(), 1u);
     EXPECT_EQ(*one.begin(), std::this_thread::get_id());
+}
+
+/** Exact rendering of one experiment's results (hex floats). */
+std::string
+experimentBytes(const core::ExperimentResult &r)
+{
+    std::string out;
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%a %a %a c=%llu p=%llu/%llu/%llu v=%a/%a poll=%a "
+                  "sys=%llu pe=%llu pi=%llu pc=%lld\n",
+                  r.offeredRps, r.achievedRps, r.observedRps,
+                  (unsigned long long)r.completed,
+                  (unsigned long long)r.p50Ns, (unsigned long long)r.p95Ns,
+                  (unsigned long long)r.p99Ns, r.sendVarNs2, r.recvVarNs2,
+                  r.pollMeanDurNs, (unsigned long long)r.syscalls,
+                  (unsigned long long)r.probeEvents,
+                  (unsigned long long)r.probeInsns, (long long)r.probeCostNs);
+    out += buf;
+    for (const core::MetricsSample &m : r.samples) {
+        std::snprintf(buf, sizeof(buf), " t=%lld %a %llu %a %a %a %d\n",
+                      (long long)m.t, m.rpsObsv,
+                      (unsigned long long)m.send.count, m.send.varianceNs2,
+                      m.pollMeanDurNs, m.slack, (int)m.saturated);
+        out += buf;
+    }
+    return out;
+}
+
+TEST(WorkerPoolTest, TwoStageSweepOnPoolThreadsMatchesSerialRuns)
+{
+    // web-search's two-stage server links its stages with
+    // Kernel::socketPair, whose connection ids are per-kernel state:
+    // concurrent experiments must neither race on them nor see ids that
+    // depend on what ran before (TSan checks the former here).
+    core::ExperimentConfig base;
+    base.workload = workload::workloadByName("web-search");
+    base.seed = 5;
+    base.warmup = sim::milliseconds(10);
+    core::SweepScaling scaling;
+    scaling.requestsPerRps = 0.0;
+    scaling.minRequests = 250;
+    scaling.maxRequests = 250;
+    const std::vector<double> fractions = {0.3, 0.6, 0.9, 1.2};
+
+    const auto serial = core::runSweepParallel(base, fractions, scaling, 1);
+    const auto pooled = core::runSweepParallel(base, fractions, scaling, 2);
+    ASSERT_EQ(serial.size(), fractions.size());
+    ASSERT_EQ(pooled.size(), fractions.size());
+    for (std::size_t i = 0; i < fractions.size(); ++i) {
+        EXPECT_GT(serial[i].result.completed, 0u) << i;
+        EXPECT_EQ(experimentBytes(pooled[i].result),
+                  experimentBytes(serial[i].result))
+            << i;
+    }
 }
 
 } // namespace

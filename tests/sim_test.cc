@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/distributions.hh"
@@ -95,6 +98,185 @@ TEST(EventQueueTest, EventsCanRescheduleThemselves)
     }
     EXPECT_EQ(count, 5);
     EXPECT_EQ(q.executedCount(), 5u);
+}
+
+TEST(EventQueueTest, SizeIsExactAfterCancel)
+{
+    EventQueue q;
+    q.schedule(10, [] {});
+    EventId mid = q.schedule(20, [] {});
+    q.schedule(30, [] {});
+    EXPECT_EQ(q.size(), 3u);
+    mid.cancel();
+    EXPECT_EQ(q.size(), 2u);
+    mid.cancel(); // a second cancel is inert
+    EXPECT_EQ(q.size(), 2u);
+}
+
+TEST(EventQueueTest, CancelledCapturesDieAtTheNextPopNotInsideCancel)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch = token;
+    EventId victim = q.schedule(20, [token] {});
+    token.reset();
+    bool alive_after_cancel = false;
+    bool alive_in_next = true;
+    q.schedule(10, [&] {
+        victim.cancel();
+        alive_after_cancel = !watch.expired();
+    });
+    q.schedule(30, [&] { alive_in_next = !watch.expired(); });
+    Tick now = 0;
+    ASSERT_TRUE(q.popAndRun(now)); // tick 10 cancels the tick-20 event
+    EXPECT_TRUE(alive_after_cancel);
+    EXPECT_FALSE(watch.expired());
+    EXPECT_EQ(q.size(), 1u);
+    ASSERT_TRUE(q.popAndRun(now)); // tick 30
+    EXPECT_EQ(now, 30);
+    EXPECT_FALSE(alive_in_next);
+
+    // The same holds for a cancel from outside any callback.
+    token = std::make_shared<int>(0);
+    const std::weak_ptr<int> watch2 = token;
+    EventId outside = q.schedule(40, [token] {});
+    token.reset();
+    bool alive_in_last = true;
+    q.schedule(50, [&] { alive_in_last = !watch2.expired(); });
+    outside.cancel();
+    EXPECT_FALSE(watch2.expired());
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_FALSE(alive_in_last);
+    EXPECT_FALSE(q.popAndRun(now));
+}
+
+TEST(EventQueueTest, StaleHandleToARecycledSlotIsInert)
+{
+    EventQueue q;
+    Tick now = 0;
+    EventId fired = q.schedule(1, [] {});
+    EventId cancelled = q.schedule(2, [] {});
+    cancelled.cancel();
+    ASSERT_TRUE(q.popAndRun(now)); // frees both slots
+    EXPECT_EQ(q.slabSize(), 2u);
+    int runs = 0;
+    EventId a = q.schedule(5, [&] { ++runs; });
+    EventId b = q.schedule(5, [&] { ++runs; });
+    EXPECT_EQ(q.slabSize(), 2u); // both slots were recycled
+    EXPECT_FALSE(fired.pending());
+    EXPECT_FALSE(cancelled.pending());
+    fired.cancel();
+    cancelled.cancel();
+    EXPECT_TRUE(a.pending());
+    EXPECT_TRUE(b.pending());
+    EXPECT_EQ(q.size(), 2u);
+    while (q.popAndRun(now)) {
+    }
+    EXPECT_EQ(runs, 2);
+}
+
+/**
+ * Drives an EventQueue and a std::set of pending (tick, seq) keys
+ * through the same random schedule/cancel script; the queue must pop
+ * exactly the set's minimum every time.
+ */
+class QueueDiff
+{
+  public:
+    explicit QueueDiff(std::uint64_t seed) : rng_(seed) {}
+
+    void
+    run()
+    {
+        for (int i = 0; i < 64; ++i)
+            schedule(static_cast<Tick>(rng_.uniformInt(8)));
+        Tick now = 0;
+        while (!ref_.empty()) {
+            checkView();
+            expected_ = *ref_.begin();
+            ref_.erase(ref_.begin());
+            ASSERT_TRUE(q_.popAndRun(now));
+            ASSERT_EQ(fired_, expected_.second);
+            EXPECT_EQ(now, expected_.first);
+            mutate(/*in_callback=*/false);
+        }
+        checkView();
+        EXPECT_FALSE(q_.popAndRun(now));
+        EXPECT_GT(pops_, 1000u);
+        EXPECT_GT(cancels_, 200u);
+    }
+
+  private:
+    EventQueue q_;
+    Rng rng_;
+    std::set<std::pair<Tick, std::uint64_t>> ref_;
+    std::vector<EventId> handles_; ///< by seq
+    std::vector<Tick> when_;       ///< by seq
+    std::pair<Tick, std::uint64_t> expected_{0, 0};
+    std::uint64_t fired_ = 0;
+    Tick now_ = 0;
+    std::uint64_t pops_ = 0;
+    std::uint64_t cancels_ = 0;
+
+    void
+    schedule(Tick when)
+    {
+        const std::uint64_t seq = handles_.size();
+        handles_.push_back(q_.schedule(when, [this, seq] { fire(seq); }));
+        when_.push_back(when);
+        ref_.emplace(when, seq);
+    }
+
+    /** Cancel by seq: pending, already fired or already cancelled. */
+    void
+    cancel(std::uint64_t seq)
+    {
+        cancels_ += ref_.erase({when_[seq], seq});
+        handles_[seq].cancel();
+    }
+
+    void
+    fire(std::uint64_t seq)
+    {
+        fired_ = seq;
+        now_ = expected_.first;
+        ++pops_;
+        EXPECT_FALSE(handles_[seq].pending());
+        handles_[seq].cancel(); // self-cancel is a no-op
+        mutate(/*in_callback=*/true);
+    }
+
+    /** Random schedules (ties galore) and cancels. */
+    void
+    mutate(bool in_callback)
+    {
+        const std::uint64_t n_sched =
+            handles_.size() < 6000 ? rng_.uniformInt(3) : 0;
+        for (std::uint64_t i = 0; i < n_sched; ++i)
+            schedule(now_ + static_cast<Tick>(rng_.uniformInt(4)));
+        const std::uint64_t n_cancel = rng_.uniformInt(in_callback ? 2 : 3);
+        for (std::uint64_t i = 0; i < n_cancel; ++i)
+            cancel(rng_.uniformInt(handles_.size()));
+    }
+
+    void
+    checkView()
+    {
+        ASSERT_EQ(q_.size(), ref_.size());
+        EXPECT_EQ(q_.empty(), ref_.empty());
+        EXPECT_EQ(q_.nextTick(),
+                  ref_.empty() ? kTickMax : ref_.begin()->first);
+        const std::uint64_t k = rng_.uniformInt(handles_.size());
+        EXPECT_EQ(handles_[k].pending(), ref_.count({when_[k], k}) == 1);
+    }
+};
+
+TEST(EventQueueTest, MatchesASetReferenceUnderRandomCancels)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        QueueDiff(seed).run();
+    }
 }
 
 TEST(EventQueueDeathTest, SchedulingIntoThePastPanics)
