@@ -13,9 +13,9 @@
 
 #include "ebpf/assembler.hh"
 #include "ebpf/helpers.hh"
+#include "ebpf/native.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
-#include "ebpf/translate.hh"
 #include "ebpf/verifier.hh"
 #include "ebpf/vm.hh"
 #include "kernel/kernel.hh"
@@ -135,7 +135,7 @@ BM_FilteredOutEvent(benchmark::State &state)
 }
 BENCHMARK(BM_FilteredOutEvent);
 
-/** Verified Listing-1 duration probes plus their translated forms. */
+/** Verified Listing-1 duration probes plus their native kernels. */
 struct ListingOnePair
 {
     sim::Simulation sim{1};
@@ -143,7 +143,7 @@ struct ListingOnePair
     EbpfRuntime rt{kernel};
     probes::DurationMaps maps;
     ProgramSpec enter, exit;
-    TranslatedProgram xEnter, xExit;
+    NativeProgram nEnter, nExit;
     std::string error;
 
     ListingOnePair()
@@ -153,22 +153,35 @@ struct ListingOnePair
     {
         const auto ve = verify(enter);
         const auto vx = verify(exit);
-        if (!ve.ok || !vx.ok) {
+        if (!ve.ok || !vx.ok)
             error = ve.ok ? vx.error : ve.error;
-            return;
-        }
-        if (!translate(enter, ve.maxStackDepth, &xEnter, &error))
-            return;
-        translate(exit, vx.maxStackDepth, &xExit, &error);
+        else if (!compileNative(enter, &nEnter) ||
+                 !compileNative(exit, &nExit))
+            error = "Listing-1 probe did not compile native";
     }
 };
+
+/** One probe execution on @p engine; returns the retired insns. */
+std::uint64_t
+runProbe(ExecEngine engine, Vm &vm, const ProgramSpec &spec,
+         const NativeProgram &np, TraceCtx &ctx, ExecEnv &env)
+{
+    if (engine == ExecEngine::Native) {
+        NativeResult nr;
+        np.fn(np, ctx, env, nr);
+        return nr.insns;
+    }
+    return vm.run(spec, reinterpret_cast<std::uint8_t *>(&ctx), sizeof(ctx),
+                  env)
+        .insns;
+}
 
 void
 BM_ListingOneProbe(benchmark::State &state, ExecEngine engine)
 {
-    // Reference-vs-translated engine cost on the paper's Listing-1
-    // program itself (the duration-enter probe), executed directly on
-    // the VM with no tracepoint routing around it.
+    // Reference-vs-native engine cost on the paper's Listing-1 program
+    // itself (the duration-enter probe), executed directly with no
+    // tracepoint routing around it.
     ListingOnePair p;
     if (!p.error.empty())
         state.SkipWithError(p.error.c_str());
@@ -178,20 +191,17 @@ BM_ListingOneProbe(benchmark::State &state, ExecEngine engine)
     ctx.pidTgid = kernel::makePidTgid(1000, 1);
     ExecEnv env;
     env.pidTgid = ctx.pidTgid;
-    auto *cp = reinterpret_cast<std::uint8_t *>(&ctx);
     std::uint64_t ts = 1;
     for (auto _ : state) {
         ctx.ts = ts += 1000;
         env.nowNs = ctx.ts;
-        auto r = engine == ExecEngine::Translated
-                     ? vm.run(p.xEnter, cp, sizeof(ctx), env)
-                     : vm.run(p.enter, cp, sizeof(ctx), env);
-        benchmark::DoNotOptimize(r.r0);
+        benchmark::DoNotOptimize(
+            runProbe(engine, vm, p.enter, p.nEnter, ctx, env));
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_ListingOneProbe, reference, ExecEngine::Reference);
-BENCHMARK_CAPTURE(BM_ListingOneProbe, translated, ExecEngine::Translated);
+BENCHMARK_CAPTURE(BM_ListingOneProbe, native, ExecEngine::Native);
 
 void
 BM_ListingOneProbePair(benchmark::State &state, ExecEngine engine)
@@ -208,27 +218,21 @@ BM_ListingOneProbePair(benchmark::State &state, ExecEngine engine)
     ctx.pidTgid = kernel::makePidTgid(1000, 1);
     ExecEnv env;
     env.pidTgid = ctx.pidTgid;
-    auto *cp = reinterpret_cast<std::uint8_t *>(&ctx);
-    const bool xlt = engine == ExecEngine::Translated;
     std::uint64_t ts = 1;
     for (auto _ : state) {
         ctx.ts = ts += 1000;
         env.nowNs = ctx.ts;
-        if (xlt)
-            vm.run(p.xEnter, cp, sizeof(ctx), env);
-        else
-            vm.run(p.enter, cp, sizeof(ctx), env);
+        benchmark::DoNotOptimize(
+            runProbe(engine, vm, p.enter, p.nEnter, ctx, env));
         ctx.ts = ts += 700;
         env.nowNs = ctx.ts;
-        auto r = xlt ? vm.run(p.xExit, cp, sizeof(ctx), env)
-                     : vm.run(p.exit, cp, sizeof(ctx), env);
-        benchmark::DoNotOptimize(r.r0);
+        benchmark::DoNotOptimize(
+            runProbe(engine, vm, p.exit, p.nExit, ctx, env));
     }
     state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK_CAPTURE(BM_ListingOneProbePair, reference, ExecEngine::Reference);
-BENCHMARK_CAPTURE(BM_ListingOneProbePair, translated,
-                  ExecEngine::Translated);
+BENCHMARK_CAPTURE(BM_ListingOneProbePair, native, ExecEngine::Native);
 
 void
 BM_VerifyDurationExitProbe(benchmark::State &state)

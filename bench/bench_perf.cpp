@@ -2,7 +2,7 @@
  * @file
  * Host-side performance report for the simulator itself (not the
  * simulated metrics): eBPF engine throughput (reference interpreter vs
- * translation cache), event-queue throughput, and wall time per figure
+ * native kernels), event-queue throughput, and wall time per figure
  * sweep, serial vs parallel. Prints a human-readable report and writes
  * the same numbers as JSON (--json <path>, default BENCH_perf.json) so
  * regressions are diffable across commits.
@@ -202,23 +202,17 @@ main(int argc, char **argv)
     const std::uint64_t kPairs = 500000;
     const EngineRun ref =
         runListingOneProbe(ebpf::ExecEngine::Reference, kPairs);
-    const EngineRun xlt =
-        runListingOneProbe(ebpf::ExecEngine::Translated, kPairs);
     const EngineRun nat =
         runListingOneProbe(ebpf::ExecEngine::Native, kPairs);
-    const double engine_speedup = xlt.eventsPerSec / ref.eventsPerSec;
     const double native_speedup = nat.eventsPerSec / ref.eventsPerSec;
     std::printf("\neBPF Listing-1 probe pair (%llu enter/exit pairs)\n",
                 (unsigned long long)kPairs);
     std::printf("  %-22s %12s %14s\n", "engine", "events/s", "insns/s");
     std::printf("  %-22s %12.0f %14.0f\n", "reference interpreter",
                 ref.eventsPerSec, ref.insnsPerSec);
-    std::printf("  %-22s %12.0f %14.0f\n", "translation cache",
-                xlt.eventsPerSec, xlt.insnsPerSec);
     std::printf("  %-22s %12.0f %14.0f\n", "native kernels",
                 nat.eventsPerSec, nat.insnsPerSec);
-    std::printf("  translated speedup: %.2fx, native speedup: %.2fx\n",
-                engine_speedup, native_speedup);
+    std::printf("  native speedup: %.2fx\n", native_speedup);
 
     // --- event queue ---
     const std::uint64_t kEvents = 2000000;
@@ -260,14 +254,9 @@ main(int argc, char **argv)
                  "\"insns_per_sec\": %.0f},\n",
                  ref.eventsPerSec, ref.insnsPerSec);
     std::fprintf(f,
-                 "    \"translated\": {\"events_per_sec\": %.0f, "
-                 "\"insns_per_sec\": %.0f},\n",
-                 xlt.eventsPerSec, xlt.insnsPerSec);
-    std::fprintf(f,
                  "    \"native\": {\"events_per_sec\": %.0f, "
                  "\"insns_per_sec\": %.0f},\n",
                  nat.eventsPerSec, nat.insnsPerSec);
-    std::fprintf(f, "    \"speedup\": %.3f,\n", engine_speedup);
     std::fprintf(f, "    \"native_speedup\": %.3f\n  },\n", native_speedup);
     std::fprintf(f, "  \"event_queue\": {\n");
     std::fprintf(f, "    \"schedule_run_per_sec\": %.0f,\n", eq_run);

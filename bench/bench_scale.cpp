@@ -414,10 +414,6 @@ main(int argc, char **argv)
                             ebpf::ExecEngine::Reference,
                             headline_syscalls / 12, kBatch, true);
     printRow(ref);
-    const Row xlt = measure("translated + batch",
-                            ebpf::ExecEngine::Translated,
-                            headline_syscalls / 3, kBatch, true);
-    printRow(xlt);
     const Row nat = measure("native + batch", ebpf::ExecEngine::Native,
                             headline_syscalls, kBatch, true);
     printRow(nat);
@@ -509,7 +505,6 @@ main(int argc, char **argv)
                      r.seconds, r.syscallsPerSec, r.probeEventsPerSec, sep);
     };
     emitRow("reference_batch", ref, ",");
-    emitRow("translated_batch", xlt, ",");
     emitRow("native_batch", nat, ",");
     emitRow("native_scalar", nat_scalar, ",");
     std::fprintf(f, "  \"batch_amortisation\": %.3f,\n",

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full pre-merge check: Release build + tier-1 tests (default and
-# native-engine runs), the figure-bench golden hashes and benchmark
+# Full pre-merge check: Release build + tier-1 tests (library probes on
+# the default native engine, the engine-equality suite against the
+# reference interpreter), the figure-bench golden hashes and benchmark
 # workload digests, sanitizer build + tier-1 tests, then the gated
 # host-perf report (BENCH_perf.json), the gated scale report
 # (BENCH_scale.json), the closed-loop control report
@@ -35,13 +36,6 @@ cmake --build "$repo/build-check" -j "$jobs"
 # is the belt-and-braces ceiling so a hung sampler can never wedge CI.
 ctest --test-dir "$repo/build-check" --output-on-failure -j "$jobs" \
     --timeout 300
-
-# The native engine must be a drop-in replacement: the entire suite has
-# to pass with every library probe running through the shape-specialised
-# kernels (unmatched programs silently fall back to the translated VM).
-echo "== Native-engine suite =="
-REQOBS_ENGINE=native ctest --test-dir "$repo/build-check" \
-    --output-on-failure -j "$jobs" --timeout 300
 
 # The fleet suite (tenant probes, load balancing, cluster harness) runs
 # in the full sweep above; run it by label too so a filtered tier-1

@@ -1,14 +1,14 @@
 /**
  * @file
- * Devirtualized map dispatch shared by every execution engine.
+ * Devirtualized map dispatch shared by both execution engines.
  *
  * The MapType tag identifies the concrete class, so the common
  * hash/array/sketch operations inline (maps.hh *Hot) instead of going
  * through the vtable on every event. Behaviour is identical to the
- * virtual calls. The translated VM (vm.cc) and the native engine
- * (native.cc) both include this header so a semantic fix lands in every
- * engine at once — the differential suite would catch a divergence, but
- * sharing the body prevents one.
+ * virtual calls. The reference interpreter's helpers (vm.cc) and the
+ * native kernels (native.cc) both include this header so a semantic fix
+ * lands in both engines at once — the differential suite would catch a
+ * divergence, but sharing the body prevents one.
  */
 
 #ifndef REQOBS_EBPF_MAP_DISPATCH_HH

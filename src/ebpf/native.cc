@@ -409,9 +409,11 @@ runTenantDurationExit(const NativeProgram &p, const TraceCtx &ctx,
     res.insns += n + 2; // out: mov r0, exit
 }
 
+/** stamp[ctx->id] = ctx->ts: runqlat's wakeup half and the front-door
+ *  ingress probe, which emit the same bytecode. */
 void
-runRunqlatWakeup(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
-                 NativeResult &res)
+runStampUpdate(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
+               NativeResult &res)
 {
     // 2 ctx loads + 2 stores, ld_map_fd, 4 arg insns, mov flags, call
     std::uint64_t n = 11;
@@ -496,44 +498,47 @@ constexpr std::uint8_t kJneK = BPF_JMP | BPF_JNE | BPF_K;
 constexpr std::uint8_t kJeqK = BPF_JMP | BPF_JEQ | BPF_K;
 constexpr std::uint8_t kRshK = BPF_ALU64 | BPF_RSH | BPF_K;
 
-/** Immediates of jump insns with @p opcode (optionally dst-filtered). */
-std::vector<std::int32_t>
-jumpImms(const std::vector<Insn> &insns, std::uint8_t opcode, int dst = -1)
-{
-    std::vector<std::int32_t> out;
-    for (const Insn &i : insns)
-        if (i.opcode == opcode && (dst < 0 || i.dst == dst))
-            out.push_back(i.imm);
-    return out;
-}
-
-/** Map fds referenced by ld_map_fd pseudo instructions, stream order. */
-std::vector<int>
-mapFds(const std::vector<Insn> &insns)
-{
-    std::vector<int> out;
-    for (std::size_t i = 0; i + 1 < insns.size(); ++i)
-        if (insns[i].cls() == BPF_LD && insns[i].memSize() == BPF_DW &&
-            insns[i].src == BPF_PSEUDO_MAP_FD)
-            out.push_back(insns[i].imm);
-    return out;
-}
-
 /**
- * Immediate of the last rsh-by-constant: the filter prologue right
- * shifts by 32, every accumulate body shifts by the probe's
- * quantisation amount afterwards — so for the shapes that need it, the
- * last one is the shift. A wrong guess can only fail the re-emission
- * check, never mis-compile.
+ * The candidate parameters every recogniser keys on, scanned once per
+ * program. Each recogniser re-emits from them and compares bytes, so a
+ * wrong guess can only fail to match, never mis-compile.
  */
-int
-lastRshImm(const std::vector<Insn> &insns)
+struct Features
 {
-    int v = -1;
-    for (const Insn &i : insns)
-        if (i.opcode == kRshK)
-            v = i.imm;
-    return v;
+    /** Immediates of jne/jeq-by-constant on r7 / r8, stream order. */
+    std::vector<std::int32_t> jneR7, jneR8, jeqR7, jeqR8;
+    /** Map fds referenced by ld_map_fd pseudo instructions. */
+    std::vector<int> fds;
+    /**
+     * Immediate of the last rsh-by-constant: the filter prologue right
+     * shifts by 32, every accumulate body shifts by the probe's
+     * quantisation amount afterwards — so for the shapes that need it,
+     * the last one is the shift.
+     */
+    int shift = -1;
+};
+
+Features
+scan(const std::vector<Insn> &insns)
+{
+    Features f;
+    for (std::size_t i = 0; i < insns.size(); ++i) {
+        const Insn &in = insns[i];
+        if (in.opcode == kJneK && in.dst == R7)
+            f.jneR7.push_back(in.imm);
+        else if (in.opcode == kJneK && in.dst == R8)
+            f.jneR8.push_back(in.imm);
+        else if (in.opcode == kJeqK && in.dst == R7)
+            f.jeqR7.push_back(in.imm);
+        else if (in.opcode == kJeqK && in.dst == R8)
+            f.jeqR8.push_back(in.imm);
+        else if (in.opcode == kRshK)
+            f.shift = in.imm;
+        else if (i + 1 < insns.size() && in.cls() == BPF_LD &&
+                 in.memSize() == BPF_DW && in.src == BPF_PSEUDO_MAP_FD)
+            f.fds.push_back(in.imm);
+    }
+    return f;
 }
 
 bool
@@ -580,53 +585,60 @@ histMapOk(const Map *m)
     return m && m->keySize() == 4 && m->valueSize() == 8;
 }
 
-bool
-matchDurationEnter(const ProgramSpec &spec, NativeProgram *out)
+std::vector<std::uint64_t>
+sxAll(const std::vector<std::int32_t> &v)
 {
-    const auto tg = jumpImms(spec.insns, kJneK, R7);
-    const auto sc = jumpImms(spec.insns, kJneK, R8);
-    const auto fds = mapFds(spec.insns);
-    if (tg.size() != 1 || sc.size() != 1 || fds.size() != 1)
+    std::vector<std::uint64_t> out;
+    out.reserve(v.size());
+    for (std::int32_t x : v)
+        out.push_back(sx(x));
+    return out;
+}
+
+bool
+matchDurationEnter(const ProgramSpec &spec, const Features &f,
+                   NativeProgram *out)
+{
+    if (f.jneR7.size() != 1 || f.jneR8.size() != 1 || f.fds.size() != 1)
         return false;
-    if (!sameInsns(spec.insns,
-                   probes::emit::durationEnter(
-                       static_cast<std::uint32_t>(tg[0]), sc[0], fds[0])))
+    if (!sameInsns(spec.insns, probes::emit::durationEnter(
+                                   static_cast<std::uint32_t>(f.jneR7[0]),
+                                   f.jneR8[0], f.fds[0])))
         return false;
-    Map *start = findMap(spec, fds[0]);
+    Map *start = findMap(spec, f.fds[0]);
     if (!startMapOk(start))
         return false;
     out->fn = runDurationEnter;
     out->shape = "duration_enter";
-    out->tgidCmp = sx(tg[0]);
-    out->syscallCmp = sx(sc[0]);
+    out->tgidCmp = sx(f.jneR7[0]);
+    out->syscallCmp = sx(f.jneR8[0]);
     out->start = start;
     return true;
 }
 
 bool
-matchDurationExit(const ProgramSpec &spec, NativeProgram *out)
+matchDurationExit(const ProgramSpec &spec, const Features &f,
+                  NativeProgram *out)
 {
-    const auto tg = jumpImms(spec.insns, kJneK, R7);
-    const auto sc = jumpImms(spec.insns, kJneK, R8);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (tg.size() != 1 || sc.size() != 1 || fds.size() != 3 || shift < 0)
+    if (f.jneR7.size() != 1 || f.jneR8.size() != 1 || f.fds.size() != 3 ||
+        f.shift < 0)
         return false;
     for (bool g : {false, true}) {
         if (!sameInsns(spec.insns,
                        probes::emit::durationExit(
-                           static_cast<std::uint32_t>(tg[0]), sc[0], fds[0],
-                           fds[2], static_cast<unsigned>(shift), g)))
+                           static_cast<std::uint32_t>(f.jneR7[0]),
+                           f.jneR8[0], f.fds[0], f.fds[2],
+                           static_cast<unsigned>(f.shift), g)))
             continue;
-        Map *start = findMap(spec, fds[0]);
-        Map *stats = findMap(spec, fds[2]);
+        Map *start = findMap(spec, f.fds[0]);
+        Map *stats = findMap(spec, f.fds[2]);
         if (!startMapOk(start) || !statsMapOk(stats))
             return false;
         out->fn = runDurationExit;
         out->shape = "duration_exit";
-        out->tgidCmp = sx(tg[0]);
-        out->syscallCmp = sx(sc[0]);
-        out->shift = static_cast<unsigned>(shift);
+        out->tgidCmp = sx(f.jneR7[0]);
+        out->syscallCmp = sx(f.jneR8[0]);
+        out->shift = static_cast<unsigned>(f.shift);
         out->guarded = g;
         out->start = start;
         out->stats = stats;
@@ -636,32 +648,29 @@ matchDurationExit(const ProgramSpec &spec, NativeProgram *out)
 }
 
 bool
-matchDeltaExit(const ProgramSpec &spec, NativeProgram *out)
+matchDeltaExit(const ProgramSpec &spec, const Features &f,
+               NativeProgram *out)
 {
-    const auto fam = jumpImms(spec.insns, kJeqK, R8);
-    const auto tg = jumpImms(spec.insns, kJneK, R7);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (fam.empty() || tg.size() != 1 || fds.size() != 1 || shift < 0)
+    if (f.jeqR8.empty() || f.jneR7.size() != 1 || f.fds.size() != 1 ||
+        f.shift < 0)
         return false;
-    const std::vector<std::int64_t> family(fam.begin(), fam.end());
+    const std::vector<std::int64_t> family(f.jeqR8.begin(), f.jeqR8.end());
     for (bool g : {false, true}) {
         if (!sameInsns(spec.insns,
                        probes::emit::deltaExit(
-                           static_cast<std::uint32_t>(tg[0]), family, fds[0],
-                           static_cast<unsigned>(shift), g)))
+                           static_cast<std::uint32_t>(f.jneR7[0]), family,
+                           f.fds[0], static_cast<unsigned>(f.shift), g)))
             continue;
-        Map *stats = findMap(spec, fds[0]);
+        Map *stats = findMap(spec, f.fds[0]);
         if (!statsMapOk(stats))
             return false;
         out->fn = runDeltaExit;
         out->shape = "delta_exit";
-        out->tgidCmp = sx(tg[0]);
-        out->shift = static_cast<unsigned>(shift);
+        out->tgidCmp = sx(f.jneR7[0]);
+        out->shift = static_cast<unsigned>(f.shift);
         out->guarded = g;
         out->stats = stats;
-        for (std::int32_t f : fam)
-            out->familyCmp.push_back(sx(f));
+        out->familyCmp = sxAll(f.jeqR8);
         return true;
     }
     return false;
@@ -685,194 +694,173 @@ tenantSetFrom(const std::vector<std::int32_t> &tgids,
 }
 
 bool
-matchTenantDeltaExit(const ProgramSpec &spec, NativeProgram *out)
+matchTenantDeltaExit(const ProgramSpec &spec, const Features &f,
+                     NativeProgram *out)
 {
-    const auto fam = jumpImms(spec.insns, kJeqK, R8);
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (fam.empty() || tgids.empty() || fds.size() != 1 || shift < 0)
+    if (f.jeqR8.empty() || f.jeqR7.empty() || f.fds.size() != 1 ||
+        f.shift < 0)
         return false;
-    const std::vector<std::int64_t> family(fam.begin(), fam.end());
-    const probes::TenantSet ts = tenantSetFrom(tgids, {});
+    const std::vector<std::int64_t> family(f.jeqR8.begin(), f.jeqR8.end());
+    const probes::TenantSet ts = tenantSetFrom(f.jeqR7, {});
     for (bool g : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::tenantDeltaExit(
-                           ts, family, fds[0],
-                           static_cast<unsigned>(shift), g)))
+        if (!sameInsns(spec.insns, probes::emit::tenantDeltaExit(
+                                       ts, family, f.fds[0],
+                                       static_cast<unsigned>(f.shift), g)))
             continue;
-        Map *stats = findMap(spec, fds[0]);
+        Map *stats = findMap(spec, f.fds[0]);
         if (!statsMapOk(stats))
             return false;
         out->fn = runTenantDeltaExit;
         out->shape = "tenant_delta_exit";
-        out->shift = static_cast<unsigned>(shift);
+        out->shift = static_cast<unsigned>(f.shift);
         out->guarded = g;
         out->stats = stats;
-        for (std::int32_t f : fam)
-            out->familyCmp.push_back(sx(f));
-        for (std::int32_t t : tgids)
-            out->tenantCmp.push_back(sx(t));
+        out->familyCmp = sxAll(f.jeqR8);
+        out->tenantCmp = sxAll(f.jeqR7);
         return true;
     }
     return false;
 }
 
 bool
-matchTenantHeavyHitter(const ProgramSpec &spec, NativeProgram *out)
+matchTenantHeavyHitter(const ProgramSpec &spec, const Features &f,
+                       NativeProgram *out)
 {
-    const auto fam = jumpImms(spec.insns, kJeqK, R8);
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto fds = mapFds(spec.insns);
-    if (fam.empty() || tgids.empty() || fds.size() != 2)
+    if (f.jeqR8.empty() || f.jeqR7.empty() || f.fds.size() != 2)
         return false;
-    const std::vector<std::int64_t> family(fam.begin(), fam.end());
+    const std::vector<std::int64_t> family(f.jeqR8.begin(), f.jeqR8.end());
     if (!sameInsns(spec.insns,
-                   probes::emit::tenantHeavyHitter(tenantSetFrom(tgids, {}),
-                                                   family, fds[0])))
+                   probes::emit::tenantHeavyHitter(tenantSetFrom(f.jeqR7, {}),
+                                                   family, f.fds[0])))
         return false;
-    Map *sketch = findMap(spec, fds[0]);
+    Map *sketch = findMap(spec, f.fds[0]);
     if (!sketchMapOk(sketch))
         return false;
     out->fn = runTenantHeavyHitter;
     out->shape = "tenant_heavy_hitter";
     out->sketch = sketch;
-    for (std::int32_t f : fam)
-        out->familyCmp.push_back(sx(f));
-    for (std::int32_t t : tgids)
-        out->tenantCmp.push_back(sx(t));
+    out->familyCmp = sxAll(f.jeqR8);
+    out->tenantCmp = sxAll(f.jeqR7);
     return true;
 }
 
 bool
-matchTenantDurationEnter(const ProgramSpec &spec, NativeProgram *out)
+matchTenantDurationEnter(const ProgramSpec &spec, const Features &f,
+                         NativeProgram *out)
 {
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto polls = jumpImms(spec.insns, kJneK, R8);
-    const auto fds = mapFds(spec.insns);
-    if (tgids.empty() || polls.size() != tgids.size() || fds.size() != 1)
+    if (f.jeqR7.empty() || f.jneR8.size() != f.jeqR7.size() ||
+        f.fds.size() != 1)
         return false;
-    if (!sameInsns(spec.insns,
-                   probes::emit::tenantDurationEnter(
-                       tenantSetFrom(tgids, polls), fds[0])))
+    if (!sameInsns(spec.insns, probes::emit::tenantDurationEnter(
+                                   tenantSetFrom(f.jeqR7, f.jneR8),
+                                   f.fds[0])))
         return false;
-    Map *start = findMap(spec, fds[0]);
+    Map *start = findMap(spec, f.fds[0]);
     if (!startMapOk(start))
         return false;
     out->fn = runTenantDurationEnter;
     out->shape = "tenant_duration_enter";
     out->start = start;
-    for (std::int32_t t : tgids)
-        out->tenantCmp.push_back(sx(t));
-    for (std::int32_t p : polls)
-        out->pollCmp.push_back(sx(p));
+    out->tenantCmp = sxAll(f.jeqR7);
+    out->pollCmp = sxAll(f.jneR8);
     return true;
 }
 
 bool
-matchTenantDurationExit(const ProgramSpec &spec, NativeProgram *out)
+matchTenantDurationExit(const ProgramSpec &spec, const Features &f,
+                        NativeProgram *out)
 {
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto polls = jumpImms(spec.insns, kJneK, R8);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (tgids.empty() || polls.size() != tgids.size() || fds.size() != 3 ||
-        shift < 0)
+    if (f.jeqR7.empty() || f.jneR8.size() != f.jeqR7.size() ||
+        f.fds.size() != 3 || f.shift < 0)
         return false;
-    const probes::TenantSet ts = tenantSetFrom(tgids, polls);
+    const probes::TenantSet ts = tenantSetFrom(f.jeqR7, f.jneR8);
     for (bool g : {false, true}) {
-        if (!sameInsns(spec.insns,
-                       probes::emit::tenantDurationExit(
-                           ts, fds[0], fds[2],
-                           static_cast<unsigned>(shift), g)))
+        if (!sameInsns(spec.insns, probes::emit::tenantDurationExit(
+                                       ts, f.fds[0], f.fds[2],
+                                       static_cast<unsigned>(f.shift), g)))
             continue;
-        Map *start = findMap(spec, fds[0]);
-        Map *stats = findMap(spec, fds[2]);
+        Map *start = findMap(spec, f.fds[0]);
+        Map *stats = findMap(spec, f.fds[2]);
         if (!startMapOk(start) || !statsMapOk(stats))
             return false;
         out->fn = runTenantDurationExit;
         out->shape = "tenant_duration_exit";
-        out->shift = static_cast<unsigned>(shift);
+        out->shift = static_cast<unsigned>(f.shift);
         out->guarded = g;
         out->start = start;
         out->stats = stats;
-        for (std::int32_t t : tgids)
-            out->tenantCmp.push_back(sx(t));
-        for (std::int32_t p : polls)
-            out->pollCmp.push_back(sx(p));
+        out->tenantCmp = sxAll(f.jeqR7);
+        out->pollCmp = sxAll(f.jneR8);
         return true;
     }
     return false;
 }
 
 bool
-matchStream(const ProgramSpec &spec, NativeProgram *out, bool exit_point)
+matchStream(const ProgramSpec &spec, const Features &f, NativeProgram *out)
 {
-    const auto tg = jumpImms(spec.insns, kJneK, R7);
-    const auto fds = mapFds(spec.insns);
-    if (tg.size() != 1 || fds.size() != 1)
+    if (f.jneR7.size() != 1 || f.fds.size() != 1)
         return false;
-    if (!sameInsns(spec.insns,
-                   probes::emit::streamProbe(
-                       static_cast<std::uint32_t>(tg[0]), exit_point,
-                       fds[0])))
-        return false;
-    Map *ring = findMap(spec, fds[0]);
-    if (!ring || ring->type() != MapType::RingBuf)
-        return false;
-    out->fn = runStream;
-    out->shape = exit_point ? "stream_exit" : "stream_enter";
-    out->tgidCmp = sx(tg[0]);
-    out->exitPoint = exit_point;
-    out->ring = static_cast<RingBufMap *>(ring);
-    return true;
+    for (bool exit_point : {false, true}) {
+        if (!sameInsns(spec.insns, probes::emit::streamProbe(
+                                       static_cast<std::uint32_t>(f.jneR7[0]),
+                                       exit_point, f.fds[0])))
+            continue;
+        Map *ring = findMap(spec, f.fds[0]);
+        if (!ring || ring->type() != MapType::RingBuf)
+            return false;
+        out->fn = runStream;
+        out->shape = exit_point ? "stream_exit" : "stream_enter";
+        out->tgidCmp = sx(f.jneR7[0]);
+        out->exitPoint = exit_point;
+        out->ring = static_cast<RingBufMap *>(ring);
+        return true;
+    }
+    return false;
 }
 
 bool
-matchRunqlatWakeup(const ProgramSpec &spec, NativeProgram *out)
+matchStampUpdate(const ProgramSpec &spec, const Features &f,
+                 NativeProgram *out)
 {
-    const auto fds = mapFds(spec.insns);
-    if (fds.size() != 1)
+    if (f.fds.size() != 1)
         return false;
-    if (!sameInsns(spec.insns, probes::emit::runqlatWakeup(fds[0])))
+    if (!sameInsns(spec.insns, probes::emit::runqlatWakeup(f.fds[0])))
         return false;
-    Map *stamp = findMap(spec, fds[0]);
+    Map *stamp = findMap(spec, f.fds[0]);
     if (!startMapOk(stamp))
         return false;
-    out->fn = runRunqlatWakeup;
-    out->shape = "runqlat_wakeup";
+    out->fn = runStampUpdate;
+    out->shape = "stamp_update";
     out->start = stamp;
     return true;
 }
 
 bool
-matchRunqlatSwitch(const ProgramSpec &spec, NativeProgram *out)
+matchRunqlatSwitch(const ProgramSpec &spec, const Features &f,
+                   NativeProgram *out)
 {
-    const auto tgids = jumpImms(spec.insns, kJeqK, R7);
-    const auto fds = mapFds(spec.insns);
-    const int shift = lastRshImm(spec.insns);
-    if (tgids.empty() || fds.size() != 4 || shift < 0)
+    if (f.jeqR7.empty() || f.fds.size() != 4 || f.shift < 0)
         return false;
     // Stream order: prev re-stamp, lookup, delete (all the stamp map),
     // then the histogram.
-    if (fds[0] != fds[1] || fds[0] != fds[2])
+    if (f.fds[0] != f.fds[1] || f.fds[0] != f.fds[2])
         return false;
     if (!sameInsns(spec.insns,
                    probes::emit::runqlatSwitch(
-                       tenantSetFrom(tgids, {}), fds[0], fds[3],
-                       static_cast<unsigned>(shift))))
+                       tenantSetFrom(f.jeqR7, {}), f.fds[0], f.fds[3],
+                       static_cast<unsigned>(f.shift))))
         return false;
-    Map *stamp = findMap(spec, fds[0]);
-    Map *hist = findMap(spec, fds[3]);
+    Map *stamp = findMap(spec, f.fds[0]);
+    Map *hist = findMap(spec, f.fds[3]);
     if (!startMapOk(stamp) || !histMapOk(hist))
         return false;
     out->fn = runRunqlatSwitch;
     out->shape = "runqlat_switch";
-    out->shift = static_cast<unsigned>(shift);
+    out->shift = static_cast<unsigned>(f.shift);
     out->start = stamp;
     out->hist = hist;
-    for (std::int32_t t : tgids)
-        out->tenantCmp.push_back(sx(t));
+    out->tenantCmp = sxAll(f.jeqR7);
     return true;
 }
 
@@ -881,35 +869,23 @@ matchRunqlatSwitch(const ProgramSpec &spec, NativeProgram *out)
 bool
 compileNative(const ProgramSpec &spec, NativeProgram *out)
 {
+    // Every recogniser is tried, whatever the program is called: the
+    // byte-exact re-emission check is the only authority.
+    using Matcher =
+        bool (*)(const ProgramSpec &, const Features &, NativeProgram *);
+    static constexpr Matcher kMatchers[] = {
+        matchDurationEnter,       matchDurationExit,
+        matchDeltaExit,           matchTenantDeltaExit,
+        matchTenantHeavyHitter,   matchTenantDurationEnter,
+        matchTenantDurationExit,  matchStream,
+        matchStampUpdate,         matchRunqlatSwitch,
+    };
+    const Features f = scan(spec.insns);
     *out = NativeProgram{};
-    // The name is only a prefilter picking which recogniser to try; the
-    // byte-exact re-emission check is the authority.
-    bool ok = false;
-    if (spec.name == "duration_enter")
-        ok = matchDurationEnter(spec, out);
-    else if (spec.name == "duration_exit")
-        ok = matchDurationExit(spec, out);
-    else if (spec.name == "delta_exit")
-        ok = matchDeltaExit(spec, out);
-    else if (spec.name == "tenant_delta_exit")
-        ok = matchTenantDeltaExit(spec, out);
-    else if (spec.name == "tenant_heavy_hitter")
-        ok = matchTenantHeavyHitter(spec, out);
-    else if (spec.name == "tenant_duration_enter")
-        ok = matchTenantDurationEnter(spec, out);
-    else if (spec.name == "tenant_duration_exit")
-        ok = matchTenantDurationExit(spec, out);
-    else if (spec.name == "stream_enter")
-        ok = matchStream(spec, out, false);
-    else if (spec.name == "stream_exit")
-        ok = matchStream(spec, out, true);
-    else if (spec.name == "runqlat_wakeup")
-        ok = matchRunqlatWakeup(spec, out);
-    else if (spec.name == "runqlat_switch")
-        ok = matchRunqlatSwitch(spec, out);
-    if (!ok)
-        *out = NativeProgram{};
-    return ok;
+    for (Matcher m : kMatchers)
+        if (m(spec, f, out))
+            return true;
+    return false;
 }
 
 } // namespace reqobs::ebpf

@@ -1,26 +1,26 @@
 /**
  * @file
- * Native execution engine: the simulator's analogue of the kernel JIT.
+ * Native execution engine: the simulator's analogue of the kernel JIT,
+ * and the default engine.
  *
- * Where the translated engine (translate.cc + vm.cc) lowers bytecode to
- * a fused direct-threaded IR and still pays one indirect dispatch per
- * instruction, the native engine compiles a probe to a directly
- * callable, shape-specialised C++ kernel — zero dispatch, the whole
+ * The native engine compiles a probe to a directly callable,
+ * shape-specialised C++ kernel — no per-instruction dispatch, the whole
  * program is one function call. Compilation is recognition: the
  * compiler extracts candidate parameters (tgids, syscall ids, map fds,
  * shift, guard flags) from the bytecode, re-emits the probe through the
  * same probes::emit function the library builders use, and accepts the
- * program only if the re-emission is byte-identical. A program
- * therefore gets a native kernel if and only if it is literally a
- * library probe; everything else (fuzzed programs, hand-written
- * bytecode) falls back to the translated engine.
+ * program only if the re-emission is byte-identical. Every recogniser
+ * is tried and the program's name plays no part, so a program gets a
+ * native kernel if and only if it is literally a library probe, however
+ * an agent labels it. Everything else (tracelet DSL output, fuzzed
+ * programs, hand-written bytecode) runs on the reference interpreter.
  *
  * The kernels preserve the interpreter contract exactly: same r0, same
  * retired-instruction counts on every control-flow path (the cost model
  * depends on them), same map mutations, same ring-buffer payloads, and
  * the same fault-injection draw points in the same order. The
- * differential suite (tests/ebpf_diff_test.cc) enforces this three-way
- * against both other engines.
+ * differential suite (tests/ebpf_diff_test.cc) holds them to it against
+ * the interpreter, probe by probe and on whole harness runs.
  */
 
 #ifndef REQOBS_EBPF_NATIVE_HH
@@ -37,7 +37,7 @@ namespace reqobs::ebpf {
 
 /**
  * Per-run tallies a native kernel produces; the runtime folds them into
- * the same counters the VM engines feed.
+ * the same counters the interpreter feeds.
  */
 struct NativeResult
 {
@@ -58,7 +58,7 @@ struct NativeProgram
                         NativeResult &);
 
     Fn fn = nullptr;          ///< null: program did not compile
-    const char *shape = "";   ///< kernel name, for diagnostics
+    const char *shape = "";   ///< kernel name (ProbeCounters::shape)
 
     std::uint64_t tgidCmp = 0;    ///< sign-extended tgid immediate
     std::uint64_t syscallCmp = 0; ///< sign-extended syscall immediate
@@ -78,30 +78,13 @@ struct NativeProgram
     std::vector<std::uint64_t> tenantCmp;
     /** Sign-extended per-tenant poll-syscall immediates. */
     std::vector<std::uint64_t> pollCmp;
-
-    /** Maps (and the ring buffer) this program reads or writes. */
-    std::vector<const void *> stateRefs() const
-    {
-        std::vector<const void *> refs;
-        if (start)
-            refs.push_back(start);
-        if (stats)
-            refs.push_back(stats);
-        if (sketch)
-            refs.push_back(sketch);
-        if (hist)
-            refs.push_back(hist);
-        if (ring)
-            refs.push_back(ring);
-        return refs;
-    }
 };
 
 /**
  * Try to compile @p spec to a native kernel. Returns true and fills
  * @p out on success; false (out->fn == nullptr) when the program is not
  * a recognised library probe. Never fails a runnable program: callers
- * fall back to the translated engine.
+ * fall back to the reference interpreter.
  */
 bool compileNative(const ProgramSpec &spec, NativeProgram *out);
 

@@ -377,6 +377,8 @@ tenantDurationExit(const TenantSet &tenants, int start_fd, int stats_fd,
     return b.build();
 }
 
+// Byte-identical to runqlatWakeup (key ctx->id, value ctx->ts, BPF_ANY):
+// both compile to the native "stamp_update" kernel.
 std::vector<Insn>
 frontDoorIngress(int ingress_fd)
 {
@@ -448,6 +450,8 @@ frontDoorAccept(const TenantSet &tenants, int ingress_fd, int hist_fd,
     return b.build();
 }
 
+// Byte-identical to frontDoorIngress: both compile to the native
+// "stamp_update" kernel.
 std::vector<Insn>
 runqlatWakeup(int stamp_fd)
 {

@@ -1,34 +1,11 @@
 #include "ebpf/runtime.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "ebpf/helpers.hh"
 #include "sim/logging.hh"
 
 namespace reqobs::ebpf {
-
-ExecEngine
-defaultExecEngine()
-{
-    static const ExecEngine cached = [] {
-        const char *env = std::getenv("REQOBS_ENGINE");
-        if (!env || !*env)
-            return ExecEngine::Translated;
-        const std::string v(env);
-        if (v == "reference")
-            return ExecEngine::Reference;
-        if (v == "translated")
-            return ExecEngine::Translated;
-        if (v == "native")
-            return ExecEngine::Native;
-        sim::warn("REQOBS_ENGINE='%s' unknown "
-                  "(reference|translated|native); using translated",
-                  env);
-        return ExecEngine::Translated;
-    }();
-    return cached;
-}
 
 EbpfRuntime::EbpfRuntime(kernel::Kernel &kernel, const RuntimeConfig &config)
     : kernel_(kernel), config_(config), rng_(kernel.sim().forkRng())
@@ -224,42 +201,29 @@ EbpfRuntime::loadAndAttach(ProgramSpec spec, kernel::TracepointId point,
     loaded->id = nextProg_++;
     loaded->spec = std::move(spec);
     loaded->point = point;
-    // Translation cache: decode once at attach time. The verifier's
-    // stack-depth bound lets the VM clear only the bytes this program
-    // can touch. A translation failure on a verified program is a bug.
-    std::string xerr;
-    if (!translate(loaded->spec, vr.maxStackDepth, &loaded->xprog, &xerr))
-        sim::panic("eBPF program '%s': %s", loaded->spec.name.c_str(),
-                   xerr.c_str());
-    // Native compile is cheap (bytecode recognition), so always attempt
-    // it; the engine config decides per event whether the kernel runs.
-    compileNative(loaded->spec, &loaded->nprog);
-    for (const Insn &in : loaded->spec.insns) {
-        if (in.opcode == (BPF_JMP | BPF_CALL) &&
-            in.imm == helper::kGetPrandomU32) {
-            loaded->usesRng = true;
-            break;
-        }
-    }
+    // Native compile is cheap (bytecode recognition), so every library
+    // probe gets a kernel unless the interpreter is pinned as the oracle.
+    if (config_.engine != ExecEngine::Reference)
+        compileNative(loaded->spec, &loaded->nprog);
     // State identities for the batch planner: the maps (and ring
     // buffers) this program touches, plus the runtime RNG if it draws
     // randomness. Probes on one tracepoint sharing any of these run
     // event-major.
     std::vector<const void *> refs;
-    if (loaded->nprog.fn) {
-        refs = loaded->nprog.stateRefs();
-    } else {
-        for (std::size_t i = 0; i + 1 < loaded->spec.insns.size(); ++i) {
-            const Insn &in = loaded->spec.insns[i];
-            if (in.cls() == BPF_LD && in.memSize() == BPF_DW &&
-                in.src == BPF_PSEUDO_MAP_FD) {
-                auto it = loaded->spec.maps.find(in.imm);
-                if (it != loaded->spec.maps.end())
-                    refs.push_back(it->second);
-            }
+    bool usesRng = false;
+    for (std::size_t i = 0; i < loaded->spec.insns.size(); ++i) {
+        const Insn &in = loaded->spec.insns[i];
+        if (in.opcode == (BPF_JMP | BPF_CALL) &&
+            in.imm == helper::kGetPrandomU32)
+            usesRng = true;
+        if (i + 1 < loaded->spec.insns.size() && in.cls() == BPF_LD &&
+            in.memSize() == BPF_DW && in.src == BPF_PSEUDO_MAP_FD) {
+            auto it = loaded->spec.maps.find(in.imm);
+            if (it != loaded->spec.maps.end())
+                refs.push_back(it->second);
         }
     }
-    if (loaded->usesRng)
+    if (usesRng)
         refs.push_back(&rng_);
     Loaded *raw = loaded.get();
     loaded->handle = kernel_.tracepoints().attach(
@@ -308,6 +272,7 @@ EbpfRuntime::probeCounters() const
     for (const auto &prog : programs_) {
         ProbeCounters pc;
         pc.name = prog->spec.name;
+        pc.shape = prog->nprog.shape;
         pc.events = prog->events;
         pc.mapUpdateFails = prog->mapUpdateFails;
         pc.ringbufDrops = prog->ringbufDrops;
@@ -375,7 +340,7 @@ EbpfRuntime::execute(Loaded &prog, const kernel::RawSyscallEvent &ev)
     env.fault = fault_;
 
     std::uint64_t insns;
-    if (config_.engine == ExecEngine::Native && prog.nprog.fn) {
+    if (prog.nprog.fn) {
         // Directly callable kernel: no dispatch, no abort path (the
         // recogniser only accepts library probes, which cannot fault).
         NativeResult nr;
@@ -387,14 +352,9 @@ EbpfRuntime::execute(Loaded &prog, const kernel::RawSyscallEvent &ev)
         nativeInsns_ += nr.insns;
         insns = nr.insns;
     } else {
-        // Native engine with an unrecognised program falls back to the
-        // translated form — same results, only slower.
-        RunResult r =
-            config_.engine == ExecEngine::Reference
-                ? vm_.run(prog.spec, reinterpret_cast<std::uint8_t *>(&ctx),
-                          sizeof(ctx), env)
-                : vm_.run(prog.xprog, reinterpret_cast<std::uint8_t *>(&ctx),
-                          sizeof(ctx), env);
+        RunResult r = vm_.run(prog.spec,
+                              reinterpret_cast<std::uint8_t *>(&ctx),
+                              sizeof(ctx), env);
         prog.mapUpdateFails += r.mapUpdateFails;
         prog.ringbufDrops += r.ringbufDrops;
         mapUpdateFails_ += r.mapUpdateFails;
@@ -435,7 +395,7 @@ EbpfRuntime::executeBatch(Loaded &prog, const kernel::RawSyscallBatch &batch)
     std::uint64_t updateFails = 0;
     std::uint64_t drops = 0;
 
-    if (config_.engine == ExecEngine::Native && prog.nprog.fn) {
+    if (prog.nprog.fn) {
         NativeResult nr;
         for (std::size_t i = 0; i < batch.n; ++i) {
             ctx.id = static_cast<std::uint64_t>(batch.syscalls[i]);
@@ -460,14 +420,9 @@ EbpfRuntime::executeBatch(Loaded &prog, const kernel::RawSyscallBatch &batch)
             env.nowNs = ctx.ts;
             env.pidTgid = ctx.pidTgid;
             env.cpu = cpus > 1 ? static_cast<std::uint32_t>(i % cpus) : 0;
-            RunResult r =
-                config_.engine == ExecEngine::Reference
-                    ? vm_.run(prog.spec,
-                              reinterpret_cast<std::uint8_t *>(&ctx),
-                              sizeof(ctx), env)
-                    : vm_.run(prog.xprog,
-                              reinterpret_cast<std::uint8_t *>(&ctx),
-                              sizeof(ctx), env);
+            RunResult r = vm_.run(prog.spec,
+                                  reinterpret_cast<std::uint8_t *>(&ctx),
+                                  sizeof(ctx), env);
             if (r.aborted) {
                 sim::panic("eBPF program '%s' faulted at runtime: %s",
                            prog.spec.name.c_str(), r.error.c_str());

@@ -6,7 +6,11 @@
  * Loading follows the real flow: create maps (getting fds), author
  * bytecode referencing those fds via ld_map_fd, submit the program —
  * it is verified and rejected on any violation — then attach it to
- * raw_syscalls:sys_enter or sys_exit.
+ * raw_syscalls:sys_enter or sys_exit. Under the default engine the
+ * attach also compiles library probes to native kernels; every other
+ * program, and every program under ExecEngine::Reference, runs on the
+ * reference interpreter. probeCounters() reports which one each
+ * program runs on.
  *
  * Each tracepoint firing that reaches an attached program costs
  * simulated time: a fixed dispatch cost plus a per-interpreted-
@@ -34,29 +38,27 @@
 namespace reqobs::ebpf {
 
 /**
- * Execution-engine selection. Translated is the default (the simulator
+ * Execution-engine selection. Native is the default (the simulator
  * analogue of the kernel JIT-compiling eBPF, see §VI of the paper):
- * programs are pre-decoded once at attach time. Reference re-decodes
- * every instruction per event and serves as the semantic oracle.
- * Native compiles recognised library probes to directly callable
- * shape-specialised kernels (native.hh) and silently falls back to
- * Translated for anything else. Results are identical across all three
- * (tests/ebpf_diff_test.cc asserts the agreement bit-for-bit).
+ * every library probe compiles at attach time to a shape-specialised
+ * kernel (native.hh), and any other program runs on the reference
+ * interpreter. Reference interprets every program and serves as the
+ * semantic oracle. Results are identical either way
+ * (tests/ebpf_diff_test.cc asserts the agreement bit for bit).
  */
 enum class ExecEngine
 {
-    Translated,
+    Translated [[deprecated("the translated VM is gone; use Native")]],
     Reference,
     Native,
 };
 
-/**
- * Process-wide default engine: REQOBS_ENGINE=reference|translated|
- * native, cached on first use; Translated (with a warning on unknown
- * values) otherwise. Explicit RuntimeConfig::engine assignments
- * override it.
- */
-ExecEngine defaultExecEngine();
+/** The engine RuntimeConfig starts with: Native. */
+inline ExecEngine
+defaultExecEngine()
+{
+    return ExecEngine::Native;
+}
 
 /** Cost model for in-kernel probe execution. */
 struct RuntimeConfig
@@ -179,7 +181,7 @@ class EbpfRuntime
 
     std::size_t loadedPrograms() const { return programs_.size(); }
 
-    /** Loaded programs that compiled to a native kernel. */
+    /** Loaded programs that run as native kernels (0 under Reference). */
     std::size_t nativePrograms() const;
 
     /** @name Execution statistics. @{ */
@@ -197,6 +199,8 @@ class EbpfRuntime
     struct ProbeCounters
     {
         std::string name;
+        /** Native kernel the program runs as; empty when interpreted. */
+        std::string shape;
         std::uint64_t events = 0;
         std::uint64_t mapUpdateFails = 0; ///< -E2BIG and friends
         std::uint64_t ringbufDrops = 0;   ///< -ENOSPC
@@ -239,12 +243,8 @@ class EbpfRuntime
     {
         ProgId id;
         ProgramSpec spec;
-        /** Attach-time pre-decoded form (translation cache). */
-        TranslatedProgram xprog;
-        /** Attach-time native compile (nprog.fn null: fall back). */
+        /** Attach-time native compile (nprog.fn null: interpret). */
         NativeProgram nprog;
-        /** Program calls bpf_get_prandom_u32 (shares the runtime RNG). */
-        bool usesRng = false;
         kernel::TracepointId point;
         kernel::ProbeHandle handle;
         std::uint64_t events = 0;

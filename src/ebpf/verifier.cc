@@ -90,7 +90,6 @@ class Engine
             }
         }
         res.ok = true;
-        res.maxStackDepth = static_cast<std::uint32_t>(-minStackOff_);
         return res;
     }
 
@@ -100,15 +99,6 @@ class Engine
     std::deque<std::pair<std::size_t, VState>> work_;
     std::map<std::size_t, std::vector<VState>> seen_;
     std::string error_;
-    std::int32_t minStackOff_ = 0; ///< lowest r10-relative byte accessed
-
-    /** Record a validated stack access so maxStackDepth covers it. */
-    void
-    noteStackAccess(std::int32_t off)
-    {
-        if (off < minStackOff_)
-            minStackOff_ = off;
-    }
 
     template <typename... Args>
     VerifyResult
@@ -216,7 +206,6 @@ class Engine
             if (check_init && !write && !stackInitialized(st, total, len))
                 return setError(pc, "read of uninitialised stack at %d",
                                 total);
-            noteStackAccess(total);
             return true;
           case RegType::PtrMapValue:
             if (total < 0 ||
@@ -270,7 +259,6 @@ class Engine
             if (!stackInitialized(st, r.off, l))
                 return setError(pc, "%s: %s buffer not fully initialised",
                                 helper::name(id).c_str(), what);
-            noteStackAccess(r.off);
             return true;
         };
 

@@ -36,12 +36,6 @@ struct VerifyResult
     bool ok = false;
     std::string error;        ///< empty when ok
     std::uint64_t statesExplored = 0;
-    /**
-     * Deepest stack byte the program can touch (0..stackSize). Every
-     * stack access on every path is bounded by this, so an execution
-     * engine only needs to clear this many bytes below r10 per run.
-     */
-    std::uint32_t maxStackDepth = 0;
 
     explicit operator bool() const { return ok; }
 };

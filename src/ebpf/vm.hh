@@ -1,18 +1,13 @@
 /**
  * @file
- * The eBPF execution engines.
+ * The reference eBPF interpreter.
  *
- * Two engines share one Vm (registers, stack, statistics):
+ * It decodes each instruction on every execution, exactly as the seed
+ * did. It is the semantic oracle the native kernels (native.hh) are
+ * held to, and the engine for every program that is not a library
+ * probe: tracelet DSL output, fuzzed and hand-written bytecode.
  *
- *  - the *reference interpreter* (run on a ProgramSpec): decodes each
- *    instruction on every execution, exactly as the seed did. It is the
- *    semantic oracle and stays selectable at runtime.
- *  - the *translation-cache fast path* (run on a TranslatedProgram):
- *    executes the flat pre-decoded form produced at attach time — dense
- *    handler dispatch, map pointers resolved, immediates pre-extended,
- *    and only the verifier-computed stack depth cleared per run.
- *
- * Both keep defence-in-depth runtime checks: every load/store is
+ * It keeps defence-in-depth runtime checks: every load/store is
  * validated against the regions a program may legally touch (its stack
  * frame, the context, and map values handed out by lookups during this
  * run). The regions scratch buffer is owned by the Vm and reused across
@@ -30,7 +25,6 @@
 
 #include "ebpf/helpers.hh"
 #include "ebpf/program.hh"
-#include "ebpf/translate.hh"
 
 namespace reqobs::ebpf {
 
@@ -46,7 +40,7 @@ struct RunResult
     std::string error;
 };
 
-/** Executes programs through either engine. Reusable across runs. */
+/** Executes programs on the reference interpreter. Reusable across runs. */
 class Vm
 {
   public:
@@ -58,14 +52,6 @@ class Vm
      * context (ctx_len must match prog.ctxSize) in environment @p env.
      */
     RunResult run(const ProgramSpec &prog, std::uint8_t *ctx,
-                  std::uint32_t ctx_len, ExecEnv &env);
-
-    /**
-     * Translation-cache fast path: execute a pre-decoded program.
-     * Semantically identical to the reference engine for any verified
-     * program (asserted by tests/ebpf_diff_test.cc).
-     */
-    RunResult run(const TranslatedProgram &prog, std::uint8_t *ctx,
                   std::uint32_t ctx_len, ExecEnv &env);
 
     /** Cumulative instructions retired across all runs. */
@@ -86,10 +72,9 @@ class Vm
      *  allocation once warm). */
     std::vector<Region> regions_;
 
-    /** Start a run: clear the deepest @p stack_depth bytes and reset the
-     *  regions scratch to {stack, ctx}. */
-    void beginRun(std::uint32_t stack_depth, std::uint8_t *ctx,
-                  std::uint32_t ctx_len);
+    /** Start a run: clear the stack and reset the regions scratch to
+     *  {stack, ctx}. */
+    void beginRun(std::uint8_t *ctx, std::uint32_t ctx_len);
 
     /**
      * Register a map value handed out by a lookup. Deduplicated: looking
@@ -101,7 +86,7 @@ class Vm
     /** Pointer into a legal region, or nullptr. */
     std::uint8_t *checkAccess(std::uint64_t addr, int len, bool write) const;
 
-    /** @name Helper-call bodies shared by both engines.
+    /** @name Helper-call bodies.
      * Return nullptr on success, or a fault message. @{ */
     const char *callMapLookup(std::uint64_t *reg, ExecEnv &env);
     const char *callMapUpdate(std::uint64_t *reg, ExecEnv &env,

@@ -19,9 +19,9 @@ constexpr double kEpsilon = 1e-3;
 
 /**
  * REQOBS_SCHED=gps|discrete overrides CpuConfig::sched for every
- * CpuModel constructed in the process (cached once, like
- * REQOBS_ENGINE). check.sh uses "gps" to prove the discrete machinery
- * is inert on the default figure-bench path.
+ * CpuModel constructed in the process (cached once). check.sh uses
+ * "gps" to prove the discrete machinery is inert on the default
+ * figure-bench path.
  */
 std::optional<SchedModel>
 schedOverride()

@@ -1,48 +1,47 @@
 /**
  * @file
- * Differential test between the three eBPF execution engines: the
- * reference interpreter (decode-per-execution), the translation cache
- * (pre-decoded at attach time) and the native compiler
- * (shape-specialised C++ kernels). The engines must be observationally
- * identical for every verified program: same r0, same
- * retired-instruction counts (the probe cost model feeds on them), same
- * map contents, same ring-buffer payloads, same failure counters.
+ * Differential test between the two eBPF execution engines: the
+ * reference interpreter (decode-per-execution, the oracle) and the
+ * native engine (library probes compiled to shape-specialised C++
+ * kernels, everything else on the interpreter). The engines must be
+ * observationally identical: same r0, same retired-instruction counts
+ * (the probe cost model feeds on them), same map contents, same
+ * ring-buffer payloads, same failure counters.
  *
  * Two angles:
- *  - a fuzz corpus: randomly generated programs that pass the verifier
- *    are executed through both VM engines with separate map instances,
- *    and the native compiler must reject them gracefully (it only
- *    accepts byte-exact library probes — anything else falls back to
- *    the translated form at runtime);
- *  - the probe library end to end: three simulated kernels, one per
- *    engine, fed an identical syscall event stream through the full
- *    library — Listing-1 duration pair (plain and guarded), delta and
+ *  - the probe library end to end: one simulated kernel per engine, fed
+ *    an identical syscall event stream through the full library —
+ *    Listing-1 duration pair (plain and guarded), delta and
  *    tenant-delta probes, tenant duration pair, heavy-hitter sketch,
- *    and stream probes — including clock-inverted and negative-ret
- *    events so the guarded skip paths execute.
+ *    stream probes and the runqlat pair — including clock-inverted and
+ *    negative-ret events so the guarded skip paths execute;
+ *  - whole harness runs: a figure-sweep point, a front-door storm, a
+ *    fault-injected run, a co-location cluster and a discrete-sched
+ *    fleet, each run once per engine and required to produce
+ *    byte-identical results.
+ *
+ * Fuzzed programs never compile native; tests/ebpf_fuzz_test.cc checks
+ * that the recognisers reject them.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "ebpf/assembler.hh"
-#include "ebpf/helpers.hh"
+#include "cluster_bytes.hh"
+#include "core/cluster.hh"
+#include "core/experiment.hh"
 #include "ebpf/maps.hh"
-#include "ebpf/native.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
-#include "ebpf/translate.hh"
-#include "ebpf/verifier.hh"
-#include "ebpf/vm.hh"
-#include "fuzz_programs.hh"
 #include "kernel/kernel.hh"
-#include "sim/rng.hh"
 #include "sim/simulation.hh"
+#include "workload/config.hh"
 
 namespace reqobs::ebpf {
 namespace {
@@ -89,124 +88,6 @@ sketchSnapshot(const SketchMap &m)
     });
     return out;
 }
-
-class EngineDiffFuzzTest : public ::testing::TestWithParam<std::uint64_t>
-{};
-
-TEST_P(EngineDiffFuzzTest, VerifiedProgramsAgreeBitForBit)
-{
-    sim::Rng rng(GetParam());
-
-    // Each engine gets its own map instances so divergence in map
-    // contents is attributable to the engine alone.
-    auto hashA = std::make_unique<HashMap>(8, 8, 64);
-    auto arrayA = std::make_unique<ArrayMap>(32, 4);
-    auto hashB = std::make_unique<HashMap>(8, 8, 64);
-    auto arrayB = std::make_unique<ArrayMap>(32, 4);
-    // Tiny sketch (2 stages x 4 slots) so fuzzed updates churn the
-    // eviction/carry path, not just the resident-increment fast path.
-    auto sketchA = std::make_unique<SketchMap>(8, 2, 4);
-    auto sketchB = std::make_unique<SketchMap>(8, 2, 4);
-
-    Vm vmA, vmB;
-    int accepted = 0;
-    for (int trial = 0; trial < 400; ++trial) {
-        ProgramBuilder b;
-        FuzzGenerator gen(rng.next(), /*sketch_fd=*/5);
-        const int len = 3 + static_cast<int>(rng.uniformInt(24));
-        gen.emitProgram(b, len);
-        for (int l = 0; l < 4; ++l)
-            b.label("L" + std::to_string(l));
-        b.movImm(R0, 0).exit_();
-
-        ProgramSpec specA;
-        specA.name = "diff";
-        specA.insns = b.build();
-        specA.maps[3] = hashA.get();
-        specA.maps[4] = arrayA.get();
-        specA.maps[5] = sketchA.get();
-
-        ProgramSpec specB = specA;
-        specB.maps[3] = hashB.get();
-        specB.maps[4] = arrayB.get();
-        specB.maps[5] = sketchB.get();
-
-        const VerifyResult vr = verify(specA);
-        if (!vr.ok)
-            continue;
-        ++accepted;
-
-        // The native compiler accepts a program only when re-emitting
-        // its extracted parameters reproduces the instruction stream
-        // byte for byte — a random program is structurally rejected
-        // (and at runtime would execute through the translated form).
-        NativeProgram np;
-        EXPECT_FALSE(compileNative(specA, &np))
-            << disassemble(specA.insns);
-        EXPECT_EQ(np.fn, nullptr);
-
-        TranslatedProgram xprog;
-        std::string xerr;
-        ASSERT_TRUE(translate(specB, vr.maxStackDepth, &xprog, &xerr))
-            << xerr << "\n"
-            << disassemble(specB.insns);
-
-        for (int c = 0; c < 3; ++c) {
-            TraceCtx ctx{};
-            if (c == 1) {
-                ctx.id = ~0ull;
-                ctx.pidTgid = ~0ull;
-                ctx.ts = ~0ull;
-                ctx.ret = -1;
-            } else if (c == 2) {
-                ctx.id = rng.next();
-                ctx.pidTgid = rng.next();
-                ctx.ts = rng.next();
-                ctx.ret = static_cast<std::int64_t>(rng.next());
-            }
-            const std::uint64_t now = rng.next();
-            const std::uint64_t pt = rng.next();
-
-            // Same-seeded helper RNG streams so kPrandom agrees.
-            sim::Rng rngA(trial), rngB(trial);
-            ExecEnv envA;
-            envA.nowNs = now;
-            envA.pidTgid = pt;
-            envA.rng = &rngA;
-            ExecEnv envB = envA;
-            envB.rng = &rngB;
-
-            TraceCtx ctxB = ctx;
-            const RunResult ra =
-                vmA.run(specA, reinterpret_cast<std::uint8_t *>(&ctx),
-                        sizeof(ctx), envA);
-            const RunResult rb =
-                vmB.run(xprog, reinterpret_cast<std::uint8_t *>(&ctxB),
-                        sizeof(ctxB), envB);
-
-            const std::string dis = disassemble(specA.insns);
-            ASSERT_FALSE(ra.aborted) << ra.error << "\n" << dis;
-            ASSERT_FALSE(rb.aborted) << rb.error << "\n" << dis;
-            ASSERT_EQ(ra.r0, rb.r0) << dis;
-            ASSERT_EQ(ra.insns, rb.insns) << dis;
-            ASSERT_EQ(ra.mapUpdateFails, rb.mapUpdateFails) << dis;
-            ASSERT_EQ(ra.ringbufDrops, rb.ringbufDrops) << dis;
-        }
-
-        ASSERT_EQ(hashSnapshot(*hashA), hashSnapshot(*hashB))
-            << disassemble(specA.insns);
-        ASSERT_EQ(arraySnapshot(*arrayA), arraySnapshot(*arrayB))
-            << disassemble(specA.insns);
-        ASSERT_EQ(sketchSnapshot(*sketchA), sketchSnapshot(*sketchB))
-            << disassemble(specA.insns);
-    }
-    EXPECT_GT(accepted, 20) << "generator too hostile; tune the mix";
-    EXPECT_EQ(vmA.totalInsns(), vmB.totalInsns());
-    EXPECT_EQ(sketchA->evictions(), sketchB->evictions());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EngineDiffFuzzTest,
-                         ::testing::Values(11, 22, 33, 44, 55, 66));
 
 /** One engine's full probe-library stack fed by raw syscall events. */
 struct ProbeStack
@@ -353,7 +234,6 @@ drainRing(ProbeStack &s)
 TEST(EngineDiffProbeLibrary, IdenticalEventStreamIdenticalObservations)
 {
     ProbeStack ref(ExecEngine::Reference);
-    ProbeStack xlt(ExecEngine::Translated);
     ProbeStack nat(ExecEngine::Native);
 
     // Every library probe must have native-compiled in the native
@@ -365,7 +245,7 @@ TEST(EngineDiffProbeLibrary, IdenticalEventStreamIdenticalObservations)
     // one, the traced syscall, the delta family and an ignored syscall,
     // occasional failures, and occasional clock-inverted exits (the
     // guarded probes skip those, the unguarded ones wrap). Small ring
-    // capacity makes all stacks hit the drop path at the same events.
+    // capacity makes both stacks hit the drop path at the same events.
     std::uint64_t ts = 1000;
     for (int i = 0; i < 20000; ++i) {
         kernel::RawSyscallEvent ev;
@@ -378,7 +258,6 @@ TEST(EngineDiffProbeLibrary, IdenticalEventStreamIdenticalObservations)
         const std::uint64_t enter_ts = ts += 350;
         ev.timestamp = static_cast<sim::Tick>(enter_ts);
         ref.fire(ev);
-        xlt.fire(ev);
         nat.fire(ev);
 
         ev.point = kernel::TracepointId::SysExit;
@@ -386,17 +265,14 @@ TEST(EngineDiffProbeLibrary, IdenticalEventStreamIdenticalObservations)
         ev.timestamp = static_cast<sim::Tick>(
             i % 13 == 0 ? enter_ts - 900 : ts);
         ref.fire(ev);
-        xlt.fire(ev);
         nat.fire(ev);
     }
 
-    expectStacksEqual(ref, xlt, "reference vs translated");
     expectStacksEqual(ref, nat, "reference vs native");
 
     // Ring-buffer payload sequences byte for byte.
     const std::vector<std::string> recRef = drainRing(ref);
     EXPECT_GT(recRef.size(), 0u);
-    EXPECT_EQ(recRef, drainRing(xlt));
     EXPECT_EQ(recRef, drainRing(nat));
 }
 
@@ -439,7 +315,7 @@ struct RunqStack
 };
 
 /**
- * The runqlat pair observes identically under all three engines: same
+ * The runqlat pair observes identically under both engines: same
  * per-tenant histograms, same leftover wakeup stamps, same retired-
  * instruction accounting. The synthetic sched stream covers both
  * tenants, an unknown tgid, switches to idle, preempt re-stamps
@@ -449,9 +325,8 @@ struct RunqStack
 TEST(EngineDiffRunqlat, HistogramsAgreeBitForBit)
 {
     RunqStack ref(ExecEngine::Reference);
-    RunqStack xlt(ExecEngine::Translated);
     RunqStack nat(ExecEngine::Native);
-    RunqStack *stacks[] = {&ref, &xlt, &nat};
+    RunqStack *stacks[] = {&ref, &nat};
 
     // Both runqlat programs must native-compile — a silent fallback
     // would make this test vacuous for the native engine.
@@ -493,19 +368,15 @@ TEST(EngineDiffRunqlat, HistogramsAgreeBitForBit)
             s->fire(sw);
     }
 
-    for (auto *other : {&xlt, &nat}) {
-        for (std::uint32_t slot = 0; slot < 2; ++slot)
-            EXPECT_EQ(probes::readRunqlatHist(*ref.rt, ref.maps, slot),
-                      probes::readRunqlatHist(*other->rt, other->maps,
-                                              slot));
-        EXPECT_EQ(hashSnapshot(ref.rt->hashAt(ref.maps.stampFd)),
-                  hashSnapshot(other->rt->hashAt(other->maps.stampFd)));
-        EXPECT_EQ(ref.rt->eventsProcessed(), other->rt->eventsProcessed());
-        EXPECT_EQ(ref.rt->insnsInterpreted(),
-                  other->rt->insnsInterpreted());
-        EXPECT_EQ(ref.rt->totalProbeCost(), other->rt->totalProbeCost());
-        EXPECT_EQ(ref.rt->mapUpdateFails(), other->rt->mapUpdateFails());
-    }
+    for (std::uint32_t slot = 0; slot < 2; ++slot)
+        EXPECT_EQ(probes::readRunqlatHist(*ref.rt, ref.maps, slot),
+                  probes::readRunqlatHist(*nat.rt, nat.maps, slot));
+    EXPECT_EQ(hashSnapshot(ref.rt->hashAt(ref.maps.stampFd)),
+              hashSnapshot(nat.rt->hashAt(nat.maps.stampFd)));
+    EXPECT_EQ(ref.rt->eventsProcessed(), nat.rt->eventsProcessed());
+    EXPECT_EQ(ref.rt->insnsInterpreted(), nat.rt->insnsInterpreted());
+    EXPECT_EQ(ref.rt->totalProbeCost(), nat.rt->totalProbeCost());
+    EXPECT_EQ(ref.rt->mapUpdateFails(), nat.rt->mapUpdateFails());
     // The stream populated real buckets in both tenant slots.
     for (std::uint32_t slot = 0; slot < 2; ++slot) {
         std::uint64_t total = 0;
@@ -514,6 +385,213 @@ TEST(EngineDiffRunqlat, HistogramsAgreeBitForBit)
             total += c;
         EXPECT_GT(total, 500u) << "slot " << slot;
     }
+}
+
+/**
+ * Canonical bytes of one experiment result, every numeric field exact
+ * (hex floats for doubles): two serializations compare equal iff the
+ * results are bit-identical. The cluster counterpart is
+ * test::clusterBytes.
+ */
+std::string
+experimentBytes(const core::ExperimentResult &r)
+{
+    using ull = unsigned long long;
+    std::string out;
+    char buf[512];
+    auto emit = [&](const char *fmt, auto... args) {
+        std::snprintf(buf, sizeof(buf), fmt, args...);
+        out += buf;
+    };
+    auto health = [&](const core::AgentHealth &h) {
+        emit(" h=%d%d%d muf=%llu rbd=%llu miss=%llu stale=%llu disc=%llu "
+             "corr=%llu bo=%u\n",
+             (int)h.sendAttached, (int)h.recvAttached, (int)h.pollAttached,
+             (ull)h.mapUpdateFails, (ull)h.ringbufDrops,
+             (ull)h.probeMisses, (ull)h.staleWindows,
+             (ull)h.discontinuities, (ull)h.lossCorrectedEvents,
+             h.backoffFactor);
+    };
+
+    emit("rps %a %a %a c=%llu p50=%llu p95=%llu p99=%llu qos=%d\n",
+         r.offeredRps, r.achievedRps, r.observedRps, (ull)r.completed,
+         (ull)r.p50Ns, (ull)r.p95Ns, (ull)r.p99Ns, (int)r.qosViolated);
+    emit("est %a %a %a\n", r.sendVarNs2, r.recvVarNs2, r.pollMeanDurNs);
+    emit("probe sys=%llu ev=%llu insns=%llu cost=%lld muf=%llu rbd=%llu\n",
+         (ull)r.syscalls, (ull)r.probeEvents, (ull)r.probeInsns,
+         (long long)r.probeCostNs, (ull)r.probeMapUpdateFails,
+         (ull)r.probeRingbufDrops);
+    for (const core::MetricsSample &m : r.samples) {
+        emit("s t=%lld send=%llu,%a,%a recv=%llu,%a,%a rps=%a "
+             "poll=%llu,%a sat=%d slack=%a rq=%llu,%a",
+             (long long)m.t, (ull)m.send.count, m.send.meanNs,
+             m.send.varianceNs2, (ull)m.recv.count, m.recv.meanNs,
+             m.recv.varianceNs2, m.rpsObsv, (ull)m.pollCount,
+             m.pollMeanDurNs, (int)m.saturated, m.slack,
+             (ull)m.runqCount, m.runqP99Ns);
+        health(m.health);
+    }
+    emit("end");
+    health(r.agentHealth);
+    const fault::FaultCounts &f = r.faultCounts;
+    emit("faults %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu "
+         "%llu %llu %llu %llu %llu %llu\n",
+         (ull)f.eintr, (ull)f.eagain, (ull)f.partialOps,
+         (ull)f.spuriousWakeups, (ull)f.mapUpdateFails,
+         (ull)f.ringbufDrops, (ull)f.attachFails, (ull)f.probeMisses,
+         (ull)f.linkFlapHolds, (ull)f.connResets, (ull)f.agentCrashes,
+         (ull)f.samplerStalls, (ull)f.mapWipes, (ull)f.synFloodConns,
+         (ull)f.backlogOverflows, (ull)f.retransmitDrops,
+         (ull)f.schedDelays);
+    const core::SupervisorStats &sv = r.supervisorStats;
+    emit("super %llu %llu %llu %llu %llu %llu %llu %d %lld\n",
+         (ull)sv.crashes, (ull)sv.stallsDetected, (ull)sv.restarts,
+         (ull)sv.failedStarts, (ull)sv.mapWipes, (ull)sv.checkpoints,
+         (ull)sv.restores, (int)sv.circuitOpen, (long long)sv.downtime);
+    const net::FrontDoorCounts &d = r.frontDoorCounts;
+    emit("door %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu "
+         "p50=%llu p99=%llu storm=%llu,%llu,%llu\n",
+         (ull)d.syns, (ull)d.ingressDrops, (ull)d.synQueueOverflows,
+         (ull)d.backlogOverflows, (ull)d.budgetDrops, (ull)d.shedDrops,
+         (ull)d.retransmits, (ull)d.accepted, (ull)d.failed,
+         (ull)d.lorisReaped, (ull)d.floodSyns,
+         (ull)r.frontDoorAcceptP50Ns, (ull)r.frontDoorAcceptP99Ns,
+         (ull)r.stormEstablished, (ull)r.stormFailed,
+         (ull)r.stormConnP99Ns);
+    return out;
+}
+
+/** Run @p cfg under the reference interpreter and under the default
+ *  engine; the two results must be byte-identical. */
+core::ExperimentResult
+expectEnginesAgree(core::ExperimentConfig cfg)
+{
+    const core::ExperimentResult native = core::runExperiment(cfg);
+    cfg.agent.runtime.engine = ExecEngine::Reference;
+    const core::ExperimentResult ref = core::runExperiment(cfg);
+    EXPECT_GT(native.probeEvents, 0u);
+    EXPECT_EQ(experimentBytes(ref), experimentBytes(native));
+    return native;
+}
+
+/** Cluster counterpart of expectEnginesAgree. */
+core::ClusterExperimentResult
+expectEnginesAgree(core::ClusterExperimentConfig cfg)
+{
+    const core::ClusterExperimentResult native =
+        core::runClusterExperiment(cfg);
+    cfg.agent.runtime.engine = ExecEngine::Reference;
+    const core::ClusterExperimentResult ref =
+        core::runClusterExperiment(cfg);
+    EXPECT_GT(native.probeEvents, 0u);
+    EXPECT_EQ(test::clusterBytes(ref), test::clusterBytes(native));
+    return native;
+}
+
+/** Two co-located tenants sharing @p capacity machines at @p frac. */
+core::ClusterExperimentConfig
+twoTenants(double frac, double capacity, std::uint64_t seed)
+{
+    core::ClusterExperimentConfig cfg;
+    for (const char *name : {"img-dnn", "xapian"}) {
+        core::ClusterTenantSpec t;
+        t.workload = workload::workloadByName(name);
+        t.offeredRps = frac * t.workload.saturationRps * capacity / 2.0;
+        t.requests = static_cast<std::uint64_t>(
+            std::clamp(t.offeredRps * 2.0, 600.0, 2500.0));
+        cfg.tenants.push_back(std::move(t));
+    }
+    cfg.agent.minWindowSyscalls = 256;
+    cfg.seed = seed;
+    return cfg;
+}
+
+TEST(EngineDiffHarness, FigureSweepPoint)
+{
+    core::ExperimentConfig base;
+    base.workload = workload::workloadByName("web-search");
+    base.seed = 5;
+    base.agent.minWindowSyscalls = 512;
+    core::SweepScaling scaling;
+    scaling.requestsPerRps = 4.0;
+    scaling.minRequests = 2500;
+    scaling.maxRequests = 4000;
+    scaling.scaleWarmup = true;
+    scaling.scaleSampling = true;
+    const auto r =
+        expectEnginesAgree(core::sweepPointConfig(base, 0.9, scaling));
+    EXPECT_GT(r.samples.size(), 2u);
+}
+
+TEST(EngineDiffHarness, FrontDoorStorm)
+{
+    core::ExperimentConfig cfg;
+    cfg.workload = workload::workloadByName("data-caching");
+    cfg.workload.saturationRps =
+        std::min(cfg.workload.saturationRps, 4000.0);
+    cfg.offeredRps = 0.9 * cfg.workload.saturationRps;
+    cfg.requests = 3000;
+    cfg.seed = 21;
+    cfg.frontDoor.enabled = true;
+    cfg.frontDoor.listeners = 2;
+    cfg.frontDoor.listener.synQueueDepth = 4;
+    cfg.frontDoor.listener.acceptBacklog = 4;
+    cfg.frontDoor.stormEnabled = true;
+    cfg.frontDoor.storm.connRps = 2000.0;
+    cfg.frontDoor.storm.lorisFraction = 0.3;
+    cfg.frontDoor.storm.lorisHold = sim::milliseconds(100);
+    const auto r = expectEnginesAgree(cfg);
+    EXPECT_GT(r.frontDoorCounts.retransmits, 0u);
+    EXPECT_GT(r.stormEstablished, 0u);
+}
+
+TEST(EngineDiffHarness, FaultInjectedRun)
+{
+    // The native kernels must draw fault decisions at the same helper
+    // sites, in the same order, as the interpreter: one draw out of
+    // place shifts every later decision and the results diverge.
+    core::ExperimentConfig cfg;
+    cfg.workload = workload::workloadByName("silo");
+    cfg.offeredRps = 0.7 * cfg.workload.saturationRps;
+    cfg.requests = 3000;
+    cfg.seed = 9;
+    cfg.fault.probeMissProbability = 0.05;
+    cfg.fault.mapUpdateFailProbability = 0.10;
+    cfg.fault.ringbufDropProbability = 0.10;
+    cfg.fault.clockJitterNs = sim::microseconds(5);
+    cfg.fault.eintrProbability = 0.02;
+    cfg.fault.eagainProbability = 0.02;
+    cfg.fault.partialIoProbability = 0.02;
+    const auto r = expectEnginesAgree(cfg);
+    EXPECT_GT(r.faultCounts.probeMisses, 0u);
+    EXPECT_GT(r.faultCounts.mapUpdateFails, 0u);
+    EXPECT_GT(r.faultCounts.partialOps, 0u);
+}
+
+TEST(EngineDiffHarness, CoLocatedTenantsWithAntagonist)
+{
+    core::ClusterExperimentConfig cfg = twoTenants(0.8, 1.0, 801);
+    cfg.antagonist = true;
+    cfg.antagonistConfig.threads = 48;
+    const auto r = expectEnginesAgree(cfg);
+    EXPECT_EQ(r.tenants.size(), 2u);
+}
+
+TEST(EngineDiffHarness, DiscreteFleetWithRunqlatAndSketch)
+{
+    const std::vector<double> speed = {1.0, 1.0, 0.8, 0.6};
+    core::ClusterExperimentConfig cfg = twoTenants(0.9, 3.4, 907);
+    cfg.machines = static_cast<unsigned>(speed.size());
+    cfg.machineSpeedFactors = speed;
+    cfg.lbPolicy = net::LbPolicy::LeastConnections;
+    cfg.sched = kernel::SchedModel::Discrete;
+    cfg.agent.runqlatHistogram = true;
+    cfg.agent.heavyHitterSketch = true;
+    const auto r = expectEnginesAgree(cfg);
+    double runq = 0.0;
+    for (const core::ClusterTenantResult &t : r.tenants)
+        runq += t.runqP99Ns;
+    EXPECT_GT(runq, 0.0);
 }
 
 } // namespace

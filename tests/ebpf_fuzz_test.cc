@@ -3,10 +3,13 @@
  * Property test binding the verifier to the interpreter: any program the
  * verifier ACCEPTS must execute without a single runtime fault, for any
  * context contents. Programs are generated randomly from the full
- * instruction vocabulary (including deliberately unsafe constructs); the
- * verifier screens them, and every accepted one is executed against
- * multiple adversarial contexts with the VM's defence-in-depth checks
- * acting as the fault oracle.
+ * instruction vocabulary (including deliberately unsafe constructs and
+ * sketch-map helpers); the verifier screens them, and every accepted one
+ * is executed against multiple adversarial contexts with the VM's
+ * defence-in-depth checks acting as the fault oracle. Every accepted
+ * program must also be rejected by the native compiler, which only
+ * accepts byte-exact library probes: each random program runs through
+ * every recogniser's reject path.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include "ebpf/assembler.hh"
 #include "ebpf/helpers.hh"
 #include "ebpf/maps.hh"
+#include "ebpf/native.hh"
 #include "ebpf/verifier.hh"
 #include "ebpf/vm.hh"
 #include "fuzz_programs.hh"
@@ -36,11 +40,14 @@ TEST_P(VerifierFuzzTest, AcceptedProgramsNeverFault)
     sim::Rng rng(GetParam());
     auto hash = std::make_unique<HashMap>(8, 8, 64);
     auto array = std::make_unique<ArrayMap>(32, 4);
+    // Tiny sketch (2 stages x 4 slots) so fuzzed updates churn the
+    // eviction/carry path, not just the resident-increment fast path.
+    auto sketch = std::make_unique<SketchMap>(8, 2, 4);
 
     int accepted = 0;
     for (int trial = 0; trial < 400; ++trial) {
         ProgramBuilder b;
-        Generator gen(rng.next());
+        Generator gen(rng.next(), /*sketch_fd=*/5);
         const int len = 3 + static_cast<int>(rng.uniformInt(24));
         gen.emitProgram(b, len);
         // Terminate labels and guarantee one reachable exit form.
@@ -53,11 +60,16 @@ TEST_P(VerifierFuzzTest, AcceptedProgramsNeverFault)
         spec.insns = b.build();
         spec.maps[3] = hash.get();
         spec.maps[4] = array.get();
+        spec.maps[5] = sketch.get();
 
         const VerifyResult vr = verify(spec);
         if (!vr.ok)
             continue;
         ++accepted;
+
+        NativeProgram np;
+        EXPECT_FALSE(compileNative(spec, &np)) << disassemble(spec.insns);
+        EXPECT_EQ(np.fn, nullptr);
 
         // Adversarial contexts: zeros, all-ones, random.
         Vm vm;
@@ -93,7 +105,8 @@ TEST_P(VerifierFuzzTest, AcceptedProgramsNeverFault)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VerifierFuzzTest,
-                         ::testing::Values(101, 202, 303, 404, 505, 606));
+                         ::testing::Values(11, 22, 33, 44, 55, 66, 101, 202,
+                                           303, 404, 505, 606));
 
 } // namespace
 } // namespace reqobs::ebpf

@@ -5,9 +5,9 @@
  * Stateful: tracks which registers hold scalars and which stack slots
  * were written, so most emitted programs are plausible — while still
  * mixing in unsafe constructs (wild loads, bad map fds, missing null
- * checks) that the verifier must screen out. Used both to bind the
- * verifier to the interpreter (ebpf_fuzz_test) and to diff the two
- * execution engines against each other (ebpf_diff_test).
+ * checks) that the verifier must screen out. ebpf_fuzz_test uses it to
+ * bind the verifier to the interpreter and to check that the native
+ * compiler rejects every non-library program.
  */
 
 #ifndef REQOBS_TESTS_FUZZ_PROGRAMS_HH
@@ -28,12 +28,10 @@ class FuzzGenerator
 {
   public:
     /**
-     * @param sketch_fd Optional sketch-map fd: when >= 0, the mix gains
-     * sketch lookup/update/delete cases (the delete must be rejected by
-     * the verifier). Defaults off so existing seeds keep their exact
-     * historical instruction streams.
+     * @param sketch_fd Sketch-map fd for the sketch lookup/update/delete
+     * cases (the delete must be rejected by the verifier).
      */
-    explicit FuzzGenerator(std::uint64_t seed, int sketch_fd = -1)
+    explicit FuzzGenerator(std::uint64_t seed, int sketch_fd)
         : rng_(seed), sketchFd_(sketch_fd)
     {
     }
@@ -69,7 +67,7 @@ class FuzzGenerator
     emitOne(ProgramBuilder &b, int remaining)
     {
         const std::string fwd = "L" + std::to_string(rng_.uniformInt(4));
-        switch (rng_.uniformInt(sketchFd_ >= 0 ? 18 : 16)) {
+        switch (rng_.uniformInt(18)) {
           case 0: b.movImm(scalar(), imm()); break;
           case 1: b.mov(scalar(), scalar()); break;
           case 2: b.addImm(scalar(), imm()); break;

@@ -1,13 +1,14 @@
 /**
  * @file
  * The batched event pipeline and its supporting cast: fireBatch versus
- * per-event dispatch must be observationally identical under every
- * engine (including the event-major fallback when probes share state),
- * the native compiler must cover the whole probe library, per-CPU array
- * shards must fold to the unsharded totals, and the persistent worker
- * pool must return bit-identical experiment results across reuse while
- * keeping each batch to its thread budget, and experiments sharing the
- * pool must share no mutable state.
+ * per-event dispatch must be observationally identical under both
+ * engines (including the event-major fallback when probes share state),
+ * the native compiler must cover the whole probe library and every
+ * probe the agents build, per-CPU array shards must fold to the
+ * unsharded totals, and the persistent worker pool must return
+ * bit-identical experiment results across reuse while keeping each
+ * batch to its thread budget, and experiments sharing the pool must
+ * share no mutable state.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +23,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/agent.hh"
 #include "core/experiment.hh"
 #include "core/parallel.hh"
+#include "core/profile.hh"
+#include "core/tenant_metrics.hh"
 #include "ebpf/assembler.hh"
 #include "ebpf/maps.hh"
 #include "ebpf/native.hh"
@@ -202,7 +206,6 @@ TEST_P(BatchPipeline, SharedStateFallsBackToEventMajorAndStillMatches)
 
 INSTANTIATE_TEST_SUITE_P(Engines, BatchPipeline,
                          ::testing::Values(ebpf::ExecEngine::Reference,
-                                           ebpf::ExecEngine::Translated,
                                            ebpf::ExecEngine::Native));
 
 TEST(BatchPipeline, AttachBetweenBatchesInvalidatesThePlan)
@@ -290,10 +293,51 @@ TEST(NativeEngine, CompilesTheEntireProbeLibrary)
     EXPECT_EQ(rt.loadedPrograms(), lib.size());
 }
 
-TEST(NativeEngine, NonLibraryProgramFallsBackToTranslated)
+/**
+ * Every probe the agents build compiles native, whatever name the
+ * agent gives it: the single-tenant agent's four and the multi-tenant
+ * agent's eight (sketch and runqlat pair included), plain and guarded.
+ */
+TEST(NativeEngine, EveryAgentProbeCompilesNative)
+{
+    auto expectAllNative = [](ebpf::EbpfRuntime &rt, std::size_t n) {
+        EXPECT_EQ(rt.loadedPrograms(), n);
+        EXPECT_EQ(rt.nativePrograms(), rt.loadedPrograms());
+        for (const auto &pc : rt.probeCounters())
+            EXPECT_FALSE(pc.shape.empty()) << pc.name << " interpreted";
+    };
+    for (bool guarded : {false, true}) {
+        SCOPED_TRACE(guarded ? "guarded" : "plain");
+        sim::Simulation sim(1);
+        kernel::Kernel kernel(sim);
+        core::AgentConfig cfg;
+        cfg.guardedProbes = guarded;
+        cfg.heavyHitterSketch = true;
+        cfg.runqlatHistogram = true;
+
+        core::ObservabilityAgent single(
+            kernel, 1000,
+            core::profileFor(workload::workloadByName("data-caching")), cfg);
+        single.start();
+        expectAllNative(single.runtime(), 4);
+
+        std::vector<core::TenantBinding> tenants;
+        kernel::Pid tgid = 2000;
+        for (const char *name : {"img-dnn", "xapian", "silo"}) {
+            tenants.push_back({name, tgid++,
+                               core::profileFor(
+                                   workload::workloadByName(name))});
+        }
+        core::MultiTenantAgent multi(kernel, tenants, cfg);
+        multi.start();
+        expectAllNative(multi.runtime(), 8);
+    }
+}
+
+TEST(NativeEngine, NonLibraryProgramFallsBackToTheInterpreter)
 {
     // A verified but non-library program under the Native engine must
-    // run through the translated form with identical observations.
+    // run on the reference interpreter with identical observations.
     auto runOne = [](ebpf::ExecEngine engine) {
         sim::Simulation sim(1);
         kernel::Kernel kernel(sim);
@@ -323,18 +367,22 @@ TEST(NativeEngine, NonLibraryProgramFallsBackToTranslated)
         struct Out
         {
             std::size_t native;
+            std::string shape;
             std::uint64_t events, insns;
             std::int64_t cost;
         };
-        return Out{rt->nativePrograms(), rt->eventsProcessed(),
-                   rt->insnsInterpreted(), rt->totalProbeCost()};
+        return Out{rt->nativePrograms(), rt->probeCounters().at(0).shape,
+                   rt->eventsProcessed(), rt->insnsInterpreted(),
+                   rt->totalProbeCost()};
     };
     const auto nat = runOne(ebpf::ExecEngine::Native);
-    const auto xlt = runOne(ebpf::ExecEngine::Translated);
+    const auto ref = runOne(ebpf::ExecEngine::Reference);
     EXPECT_EQ(nat.native, 0u);
-    EXPECT_EQ(nat.events, xlt.events);
-    EXPECT_EQ(nat.insns, xlt.insns);
-    EXPECT_EQ(nat.cost, xlt.cost);
+    EXPECT_EQ(nat.shape, "");
+    EXPECT_EQ(nat.events, 50u);
+    EXPECT_EQ(nat.events, ref.events);
+    EXPECT_EQ(nat.insns, ref.insns);
+    EXPECT_EQ(nat.cost, ref.cost);
 }
 
 TEST(PerCpuArrayMapTest, ShardsAreIndependentAndFoldToTheTotal)
