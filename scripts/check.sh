@@ -4,7 +4,8 @@
 # reference interpreter), the figure-bench golden hashes and benchmark
 # workload digests, sanitizer build + tier-1 tests, then the gated
 # host-perf report (BENCH_perf.json), the gated scale report
-# (BENCH_scale.json), the closed-loop control report
+# (BENCH_scale.json: scalar per-event tracepoint dispatch, the path
+# every experiment takes), the closed-loop control report
 # (BENCH_control.json), the front-door storm report
 # (BENCH_frontdoor.json), the run-queue-latency report
 # (BENCH_runqlat.json) at the repo root and the benchmark smoke test.
@@ -165,7 +166,9 @@ if [ "$run_bench" = 1 ]; then
     # speedup over the reference interpreter regresses below 8x (it
     # measures ~11x; the paper target is 10x on an unloaded host), and
     # bench_scale fails if one machine can no longer sustain 1e7
-    # syscalls/sec through the batched native pipeline.
+    # syscalls/sec on the native engine through scalar
+    # TracepointRegistry::fire, one call per event (its native row runs
+    # for at least 1 s of wall time).
     echo "== Host perf report =="
     "$repo/build-check/bench/bench_perf" --json "$repo/BENCH_perf.json" \
         --min-speedup 8

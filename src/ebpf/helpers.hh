@@ -50,12 +50,6 @@ struct ExecEnv
     sim::Rng *rng = nullptr;   ///< bpf_get_prandom_u32()
     /** Optional fault injection for map/ringbuf helpers (may be null). */
     fault::FaultInjector *fault = nullptr;
-    /**
-     * Simulated CPU the program runs on: selects the shard of per-CPU
-     * maps. Scalar dispatch always runs on CPU 0; the batched pipeline
-     * stripes events across lanes (see EbpfRuntime's batch executor).
-     */
-    std::uint32_t cpu = 0;
 };
 
 } // namespace reqobs::ebpf

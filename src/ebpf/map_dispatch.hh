@@ -20,21 +20,15 @@
 
 namespace reqobs::ebpf {
 
-/**
- * Kernel-side lookup. @p cpu selects the shard of per-CPU maps and is
- * ignored by every other type (scalar execution always passes 0, which
- * keeps per-CPU maps bit-compatible with plain arrays there).
- */
+/** Kernel-side lookup. */
 inline std::uint8_t *
-mapLookupHot(Map *map, const std::uint8_t *key, std::uint32_t cpu = 0)
+mapLookupHot(Map *map, const std::uint8_t *key)
 {
     switch (map->type()) {
       case MapType::Hash:
         return static_cast<HashMap *>(map)->lookupHot(key);
       case MapType::Array:
         return static_cast<ArrayMap *>(map)->lookupHot(key);
-      case MapType::PerCpuArray:
-        return static_cast<PerCpuArrayMap *>(map)->lookupShard(key, cpu);
       case MapType::Sketch:
         return static_cast<SketchMap *>(map)->lookupHot(key);
       default:

@@ -127,40 +127,6 @@ ArrayMap::erase(const std::uint8_t *)
     return -22; // arrays cannot delete, like Linux
 }
 
-// ----------------------------------------------------------- PerCpuArray
-
-PerCpuArrayMap::PerCpuArrayMap(std::uint32_t value_size,
-                               std::uint32_t max_entries, std::uint32_t cpus,
-                               std::string name)
-    : Map(MapType::PerCpuArray, sizeof(std::uint32_t), value_size,
-          max_entries, std::move(name)),
-      cpus_(cpus == 0 ? 1 : cpus),
-      storage_(static_cast<std::size_t>(value_size) * max_entries *
-                   (cpus == 0 ? 1 : cpus),
-               0)
-{}
-
-int
-PerCpuArrayMap::update(const std::uint8_t *key, const std::uint8_t *value,
-                       std::uint64_t flags)
-{
-    if (flags == BPF_NOEXIST)
-        return -17; // array slots always exist
-    std::uint32_t idx;
-    std::memcpy(&idx, key, sizeof(idx));
-    if (idx >= maxEntries_)
-        return -7; // -E2BIG: index out of range
-    for (std::uint32_t cpu = 0; cpu < cpus_; ++cpu)
-        std::memcpy(lookupShard(key, cpu), value, valueSize_);
-    return 0;
-}
-
-int
-PerCpuArrayMap::erase(const std::uint8_t *)
-{
-    return -22; // arrays cannot delete, like Linux
-}
-
 // ---------------------------------------------------------------- Sketch
 
 SketchMap::SketchMap(std::uint32_t key_size, std::uint32_t stages,

@@ -1,6 +1,7 @@
 /**
  * @file
- * eBPF map implementations: hash, array, per-CPU array and ring buffer.
+ * eBPF map implementations: hash, array, ring buffer and the hash-pipe
+ * heavy-hitter sketch.
  *
  * Maps are byte-oriented exactly like the kernel's: a key_size/value_size
  * pair fixed at creation, lookups returning stable pointers into stored
@@ -27,7 +28,6 @@ enum class MapType
 {
     Hash,
     Array,
-    PerCpuArray,
     RingBuf,
     Sketch,
 };
@@ -351,7 +351,7 @@ HashMap::eraseHot(const std::uint8_t *key)
     return 0;
 }
 
-/** BPF_MAP_TYPE_ARRAY (and, with cpus==1 here, PERCPU_ARRAY). */
+/** BPF_MAP_TYPE_ARRAY. */
 class ArrayMap : public Map
 {
   public:
@@ -389,68 +389,6 @@ class ArrayMap : public Map
 
   private:
     std::vector<std::uint8_t> storage_;
-};
-
-/**
- * BPF_MAP_TYPE_PERCPU_ARRAY with real shards: one value slab per
- * simulated CPU, so concurrent batch lanes update private accumulators
- * instead of serialising on one cache line — the sharding that breaks
- * the shared-map dependency chain in the batched pipeline. In-kernel
- * lookups resolve to the executing CPU's shard (ExecEnv::cpu, threaded
- * through the engines' map dispatch); scalar execution always runs on
- * CPU 0, so with one lane the map behaves exactly like a plain array.
- * Userspace readers fold the shards with forEachShard()/shardAt().
- */
-class PerCpuArrayMap : public Map
-{
-  public:
-    PerCpuArrayMap(std::uint32_t value_size, std::uint32_t max_entries,
-                   std::uint32_t cpus, std::string name = "percpu_array");
-
-    /** Userspace lookup reads shard 0 (use shardAt for the others). */
-    std::uint8_t *lookup(const std::uint8_t *key) override
-    {
-        return lookupShard(key, 0);
-    }
-    /** Userspace update writes every shard (bpf syscall semantics). */
-    int update(const std::uint8_t *key, const std::uint8_t *value,
-               std::uint64_t flags) override;
-    int erase(const std::uint8_t *key) override; ///< -EINVAL like Linux
-    std::size_t size() const override { return maxEntries_; }
-
-    /** In-kernel lookup: the slot as seen by @p cpu (wrapped mod cpus). */
-    std::uint8_t *lookupShard(const std::uint8_t *key, std::uint32_t cpu)
-    {
-        std::uint32_t idx;
-        std::memcpy(&idx, key, sizeof(idx));
-        if (idx >= maxEntries_)
-            return nullptr;
-        if (cpu >= cpus_)
-            cpu %= cpus_;
-        return storage_.data() +
-               (static_cast<std::size_t>(cpu) * maxEntries_ + idx) *
-                   valueSize_;
-    }
-
-    std::uint32_t cpus() const { return cpus_; }
-
-    /** Typed read of one shard's slot (userspace fold input). */
-    template <typename V>
-    V
-    shardAt(std::uint32_t cpu, std::uint32_t index)
-    {
-        static_assert(std::is_trivially_copyable_v<V>);
-        checkSizes(sizeof(index), sizeof(V));
-        V out{};
-        if (const std::uint8_t *p = lookupShard(
-                reinterpret_cast<const std::uint8_t *>(&index), cpu))
-            std::memcpy(&out, p, sizeof(V));
-        return out;
-    }
-
-  private:
-    std::uint32_t cpus_;
-    std::vector<std::uint8_t> storage_; ///< cpus_ × maxEntries_ × value
 };
 
 /**

@@ -228,7 +228,7 @@ runDurationEnter(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
 }
 
 void
-runDurationExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
+runDurationExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &,
                 NativeResult &res)
 {
     std::uint64_t n = 4; // tgid filter
@@ -241,7 +241,7 @@ runDurationExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
         n += 1; // ldxdw r9 = ctx->ts
         const std::uint64_t key = ctx.pidTgid;
         n += 6; // stxdw key, ld_map_fd, mov, add, call lookup, jeq null
-        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key), env.cpu);
+        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key));
         if (!sv)
             break;
         n += 1; // ldxdw r3 = *start_ns
@@ -258,7 +258,7 @@ runDurationExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
         mapEraseHot(p.start, bytes(&key));
         n += 6; // st idx0, ld_map_fd, mov, add, call lookup, jeq null
         const std::uint32_t idx = 0;
-        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx), env.cpu);
+        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx));
         if (!slot)
             break;
         n += 13; // duration body
@@ -268,7 +268,7 @@ runDurationExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
 }
 
 void
-runDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
+runDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &,
              NativeResult &res)
 {
     std::uint64_t n = 1; // ldxdw r8 id
@@ -286,7 +286,7 @@ runDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
         n += 1; // ldxdw r9 = ctx->ts
         n += 6; // st idx0, ld_map_fd, mov, add, call lookup, jeq null
         const std::uint32_t idx = 0;
-        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx), env.cpu);
+        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx));
         if (!slot)
             break;
         n += runDeltaBody(slot, ctx.ts, p.shift, p.guarded);
@@ -295,7 +295,7 @@ runDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
 }
 
 void
-runTenantDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
+runTenantDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &,
                    NativeResult &res)
 {
     std::uint64_t n = 1; // ldxdw r8 id
@@ -314,7 +314,7 @@ runTenantDeltaExit(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
         n += 1; // ldxdw r9 = ctx->ts
         n += 6; // stx slot, ld_map_fd, mov, add, call lookup, jeq null
         const std::uint32_t idx = static_cast<std::uint32_t>(t);
-        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx), env.cpu);
+        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx));
         if (!slot)
             break;
         n += runDeltaBody(slot, ctx.ts, p.shift, p.guarded);
@@ -336,7 +336,7 @@ runTenantHeavyHitter(const NativeProgram &p, const TraceCtx &ctx,
             break;
         n += 6; // stx key, ld_map_fd, mov, add, call lookup, jeq insert
         const std::uint32_t key = static_cast<std::uint32_t>(t);
-        std::uint8_t *v = mapLookupHot(p.sketch, bytes(&key), env.cpu);
+        std::uint8_t *v = mapLookupHot(p.sketch, bytes(&key));
         if (v) {
             n += 4; // ldxdw, addImm, stxdw, ja out: resident increment
             std::uint64_t c;
@@ -372,7 +372,7 @@ runTenantDurationEnter(const NativeProgram &p, const TraceCtx &ctx,
 
 void
 runTenantDurationExit(const NativeProgram &p, const TraceCtx &ctx,
-                      ExecEnv &env, NativeResult &res)
+                      ExecEnv &, NativeResult &res)
 {
     std::uint64_t n = 1; // ldxdw r8 id
     do {
@@ -383,7 +383,7 @@ runTenantDurationExit(const NativeProgram &p, const TraceCtx &ctx,
         n += 1; // ldxdw r9 = ctx->ts
         const std::uint64_t key = ctx.pidTgid;
         n += 6; // stxdw key, ld_map_fd, mov, add, call lookup, jeq null
-        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key), env.cpu);
+        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key));
         if (!sv)
             break;
         n += 1; // ldxdw r3 = *start_ns
@@ -400,7 +400,7 @@ runTenantDurationExit(const NativeProgram &p, const TraceCtx &ctx,
         mapEraseHot(p.start, bytes(&key));
         n += 6; // stx slot, ld_map_fd, mov, add, call lookup, jeq null
         const std::uint32_t idx = static_cast<std::uint32_t>(t);
-        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx), env.cpu);
+        std::uint8_t *slot = mapLookupHot(p.stats, bytes(&idx));
         if (!slot)
             break;
         n += 13; // duration body
@@ -444,7 +444,7 @@ runRunqlatSwitch(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
         n += 4; // mov r8, lsh, rsh, stxdw key
         const std::uint64_t key = ctx.pidTgid & 0xffffffffull;
         n += 5; // ld_map_fd, mov, add, call lookup, jeq null
-        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key), env.cpu);
+        std::uint8_t *sv = mapLookupHot(p.start, bytes(&key));
         if (!sv)
             break;
         n += 1; // ldxdw r3 = *wake_ns
@@ -461,7 +461,7 @@ runRunqlatSwitch(const NativeProgram &p, const TraceCtx &ctx, ExecEnv &env,
             static_cast<std::uint32_t>(t) * probes::kRunqlatBuckets +
             bucket;
         n += 6; // stx idx, ld_map_fd, mov, add, call lookup, jeq null
-        std::uint8_t *slot = mapLookupHot(p.hist, bytes(&idx), env.cpu);
+        std::uint8_t *slot = mapLookupHot(p.hist, bytes(&idx));
         if (!slot)
             break;
         n += 3; // ldxdw, addImm, stxdw
@@ -563,7 +563,7 @@ startMapOk(const Map *m)
     return m && m->keySize() == 8 && m->valueSize() == 8;
 }
 
-/** index (u32) -> SyscallStats stats array (plain or per-CPU). */
+/** index (u32) -> SyscallStats stats array. */
 bool
 statsMapOk(const Map *m)
 {

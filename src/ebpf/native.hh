@@ -67,7 +67,7 @@ struct NativeProgram
     bool exitPoint = false;       ///< stream probes: sys_exit records
 
     Map *start = nullptr;     ///< duration/wakeup start map (hash)
-    Map *stats = nullptr;     ///< stats array (or per-CPU array)
+    Map *stats = nullptr;     ///< stats array
     Map *sketch = nullptr;    ///< heavy-hitter sketch
     Map *hist = nullptr;      ///< log2-bucket histogram array
     RingBufMap *ring = nullptr;

@@ -57,16 +57,6 @@ EbpfRuntime::createSketchMap(std::uint32_t key_size, std::uint32_t stages,
         std::make_unique<SketchMap>(key_size, stages, width, name));
 }
 
-int
-EbpfRuntime::createPerCpuArrayMap(std::uint32_t value_size,
-                                  std::uint32_t max_entries,
-                                  std::uint32_t cpus, const std::string &name)
-{
-    return createMap(
-        std::make_unique<PerCpuArrayMap>(value_size, max_entries, cpus,
-                                         name));
-}
-
 Map &
 EbpfRuntime::mapAt(int fd) const
 {
@@ -205,39 +195,11 @@ EbpfRuntime::loadAndAttach(ProgramSpec spec, kernel::TracepointId point,
     // probe gets a kernel unless the interpreter is pinned as the oracle.
     if (config_.engine != ExecEngine::Reference)
         compileNative(loaded->spec, &loaded->nprog);
-    // State identities for the batch planner: the maps (and ring
-    // buffers) this program touches, plus the runtime RNG if it draws
-    // randomness. Probes on one tracepoint sharing any of these run
-    // event-major.
-    std::vector<const void *> refs;
-    bool usesRng = false;
-    for (std::size_t i = 0; i < loaded->spec.insns.size(); ++i) {
-        const Insn &in = loaded->spec.insns[i];
-        if (in.opcode == (BPF_JMP | BPF_CALL) &&
-            in.imm == helper::kGetPrandomU32)
-            usesRng = true;
-        if (i + 1 < loaded->spec.insns.size() && in.cls() == BPF_LD &&
-            in.memSize() == BPF_DW && in.src == BPF_PSEUDO_MAP_FD) {
-            auto it = loaded->spec.maps.find(in.imm);
-            if (it != loaded->spec.maps.end())
-                refs.push_back(it->second);
-        }
-    }
-    if (usesRng)
-        refs.push_back(&rng_);
     Loaded *raw = loaded.get();
     loaded->handle = kernel_.tracepoints().attach(
-        point,
-        [this, raw](const kernel::RawSyscallEvent &ev) {
+        point, [this, raw](const kernel::RawSyscallEvent &ev) {
             return execute(*raw, ev);
-        },
-        [this, raw](const kernel::RawSyscallBatch &batch) {
-            return executeBatch(*raw, batch);
-        },
-        // Fault injection draws RNG numbers per event in probe order;
-        // probe-major bursts would reorder the draws, so batching is
-        // only ready while no injector is installed.
-        [this] { return fault_ == nullptr; }, std::move(refs));
+        });
     if (id)
         *id = loaded->id;
     programs_.push_back(std::move(loaded));
@@ -370,76 +332,6 @@ EbpfRuntime::execute(Loaded &prog, const kernel::RawSyscallEvent &ev)
 
     const sim::Tick cost =
         config_.baseProbeCost +
-        config_.perInsnCost * static_cast<sim::Tick>(insns);
-    totalCost_ += cost;
-    return cost;
-}
-
-sim::Tick
-EbpfRuntime::executeBatch(Loaded &prog, const kernel::RawSyscallBatch &batch)
-{
-    // The registry only calls this when the attach-time batchReady
-    // predicate holds, i.e. no fault injector is installed: no missed
-    // runs and no helper-fault draws, so the whole burst runs the
-    // program back to back with hoisted per-event setup.
-    events_ += batch.n;
-    prog.events += batch.n;
-
-    TraceCtx ctx;
-    ExecEnv env;
-    env.rng = &rng_;
-    env.fault = nullptr;
-
-    const std::uint32_t cpus = config_.batchCpus;
-    std::uint64_t insns = 0;
-    std::uint64_t updateFails = 0;
-    std::uint64_t drops = 0;
-
-    if (prog.nprog.fn) {
-        NativeResult nr;
-        for (std::size_t i = 0; i < batch.n; ++i) {
-            ctx.id = static_cast<std::uint64_t>(batch.syscalls[i]);
-            ctx.pidTgid = batch.pidTgids[i];
-            ctx.ts = static_cast<std::uint64_t>(batch.timestamps[i]);
-            ctx.ret = batch.rets ? batch.rets[i] : 0;
-            env.nowNs = ctx.ts;
-            env.pidTgid = ctx.pidTgid;
-            env.cpu = cpus > 1 ? static_cast<std::uint32_t>(i % cpus) : 0;
-            prog.nprog.fn(prog.nprog, ctx, env, nr);
-        }
-        insns = nr.insns;
-        updateFails = nr.mapUpdateFails;
-        drops = nr.ringbufDrops;
-        nativeInsns_ += nr.insns;
-    } else {
-        for (std::size_t i = 0; i < batch.n; ++i) {
-            ctx.id = static_cast<std::uint64_t>(batch.syscalls[i]);
-            ctx.pidTgid = batch.pidTgids[i];
-            ctx.ts = static_cast<std::uint64_t>(batch.timestamps[i]);
-            ctx.ret = batch.rets ? batch.rets[i] : 0;
-            env.nowNs = ctx.ts;
-            env.pidTgid = ctx.pidTgid;
-            env.cpu = cpus > 1 ? static_cast<std::uint32_t>(i % cpus) : 0;
-            RunResult r = vm_.run(prog.spec,
-                                  reinterpret_cast<std::uint8_t *>(&ctx),
-                                  sizeof(ctx), env);
-            if (r.aborted) {
-                sim::panic("eBPF program '%s' faulted at runtime: %s",
-                           prog.spec.name.c_str(), r.error.c_str());
-            }
-            insns += r.insns;
-            updateFails += r.mapUpdateFails;
-            drops += r.ringbufDrops;
-        }
-    }
-
-    prog.mapUpdateFails += updateFails;
-    prog.ringbufDrops += drops;
-    mapUpdateFails_ += updateFails;
-    ringbufDrops_ += drops;
-
-    const sim::Tick cost =
-        config_.baseProbeCost * static_cast<sim::Tick>(batch.n) +
         config_.perInsnCost * static_cast<sim::Tick>(insns);
     totalCost_ += cost;
     return cost;

@@ -71,14 +71,6 @@ struct RuntimeConfig
     VerifierLimits limits;
     /** Host-side execution engine; results are identical either way. */
     ExecEngine engine = defaultExecEngine();
-    /**
-     * Simulated CPUs the batched pipeline stripes events across: lane i
-     * of a burst runs with env.cpu = i % batchCpus, selecting per-CPU
-     * map shards. 1 (default) keeps batched execution bit-identical to
-     * scalar dispatch (which always runs on CPU 0); only the per-CPU
-     * ablation in bench_scale raises it.
-     */
-    std::uint32_t batchCpus = 1;
 };
 
 /** Loaded-program id. */
@@ -108,9 +100,6 @@ class EbpfRuntime
     int createRingBuf(std::uint32_t capacity_bytes, const std::string &name);
     int createSketchMap(std::uint32_t key_size, std::uint32_t stages,
                         std::uint32_t width, const std::string &name);
-    int createPerCpuArrayMap(std::uint32_t value_size,
-                             std::uint32_t max_entries, std::uint32_t cpus,
-                             const std::string &name);
 
     /** Map by fd; fatal on unknown fd. */
     Map &mapAt(int fd) const;
@@ -270,7 +259,6 @@ class EbpfRuntime
     fault::FaultInjector *fault_ = nullptr;
 
     sim::Tick execute(Loaded &prog, const kernel::RawSyscallEvent &ev);
-    sim::Tick executeBatch(Loaded &prog, const kernel::RawSyscallBatch &batch);
 };
 
 } // namespace reqobs::ebpf

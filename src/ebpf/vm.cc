@@ -212,7 +212,7 @@ Vm::run(const ProgramSpec &prog, std::uint8_t *ctx, std::uint32_t ctx_len,
                                   : 0;
                     break;
                   case helper::kMapLookupElem:
-                    err = callMapLookup(reg, env);
+                    err = callMapLookup(reg);
                     break;
                   case helper::kMapUpdateElem:
                     err = callMapUpdate(reg, env, res);
@@ -266,13 +266,13 @@ Vm::run(const ProgramSpec &prog, std::uint8_t *ctx, std::uint32_t ctx_len,
 }
 
 const char *
-Vm::callMapLookup(std::uint64_t *reg, ExecEnv &env)
+Vm::callMapLookup(std::uint64_t *reg)
 {
     Map *map = reinterpret_cast<Map *>(reg[R1]);
     const std::uint8_t *key = checkAccess(reg[R2], map->keySize(), false);
     if (!key)
         return "map_lookup: bad key pointer";
-    std::uint8_t *val = mapLookupHot(map, key, env.cpu);
+    std::uint8_t *val = mapLookupHot(map, key);
     reg[R0] = reinterpret_cast<std::uint64_t>(val);
     if (val)
         addMapValueRegion(val, map->valueSize());

@@ -88,7 +88,7 @@ class Vm
 
     /** @name Helper-call bodies.
      * Return nullptr on success, or a fault message. @{ */
-    const char *callMapLookup(std::uint64_t *reg, ExecEnv &env);
+    const char *callMapLookup(std::uint64_t *reg);
     const char *callMapUpdate(std::uint64_t *reg, ExecEnv &env,
                               RunResult &res);
     const char *callMapDelete(std::uint64_t *reg);

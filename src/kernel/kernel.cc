@@ -148,28 +148,6 @@ Kernel::fireExit(Tid tid, std::int64_t syscall, std::int64_t ret)
     return tracepoints_.fire(ev);
 }
 
-sim::Tick
-Kernel::dispatchRawBatch(const RawSyscallBatch &batch)
-{
-    if (batch.point == TracepointId::SysEnter && batch.n > 0) {
-        syscalls_ += batch.n;
-        // Per-tgid accounting, amortised: storm batches are runs of the
-        // same few tgids, so cache the last slot instead of paying a
-        // map lookup per event.
-        Pid lastPid = static_cast<Pid>(batch.pidTgids[0] >> 32);
-        std::uint64_t *slot = &syscallsByTgid_[lastPid];
-        for (std::size_t i = 0; i < batch.n; ++i) {
-            const Pid pid = static_cast<Pid>(batch.pidTgids[i] >> 32);
-            if (pid != lastPid) {
-                lastPid = pid;
-                slot = &syscallsByTgid_[pid];
-            }
-            ++*slot;
-        }
-    }
-    return tracepoints_.fireBatch(batch);
-}
-
 void
 Kernel::finishSyscall(Tid tid, std::int64_t syscall, std::int64_t ret,
                       std::coroutine_handle<> h)

@@ -377,24 +377,6 @@ class Kernel
      */
     std::uint64_t syscallCountFor(Pid pid) const;
 
-    /** Per-tgid dispatch counts for every process that made a syscall. */
-    const std::map<Pid, std::uint64_t> &syscallsByTgid() const
-    {
-        return syscallsByTgid_;
-    }
-
-    /**
-     * Dispatch a synthetic burst of raw syscall events straight into the
-     * tracepoint layer — the high-throughput entry the scale bench uses
-     * to model storms of 10⁷+ syscalls/sec without running a coroutine
-     * per event. Syscall accounting (total and per-tgid) matches one
-     * fireEnter per event; the caller supplies final timestamps, so the
-     * fault injector's tracepoint clock jitter is NOT applied here
-     * (jitter experiments use the scalar path). @return total probe
-     * cost in ticks.
-     */
-    sim::Tick dispatchRawBatch(const RawSyscallBatch &batch);
-
   private:
     friend class EpollWaitOp;
     friend class FutexWaitOp;

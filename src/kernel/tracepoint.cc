@@ -8,33 +8,24 @@ ProbeHandle
 TracepointRegistry::attach(TracepointId point, TracepointProbe probe)
 {
     const ProbeHandle h = nextHandle_++;
-    probes_.push_back(Entry{h, point, std::move(probe), nullptr, nullptr, {}});
-    invalidatePlans();
-    return h;
-}
-
-ProbeHandle
-TracepointRegistry::attach(TracepointId point, TracepointProbe probe,
-                           TracepointBatchProbe batch,
-                           std::function<bool()> batchReady,
-                           std::vector<const void *> stateRefs)
-{
-    const ProbeHandle h = nextHandle_++;
-    probes_.push_back(Entry{h, point, std::move(probe), std::move(batch),
-                            std::move(batchReady), std::move(stateRefs)});
-    invalidatePlans();
+    probes_[static_cast<std::size_t>(point)].push_back(
+        Entry{h, std::move(probe)});
     return h;
 }
 
 void
 TracepointRegistry::detach(ProbeHandle handle)
 {
-    probes_.erase(std::remove_if(probes_.begin(), probes_.end(),
-                                 [handle](const Entry &e) {
-                                     return e.handle == handle;
-                                 }),
-                  probes_.end());
-    invalidatePlans();
+    for (auto &list : probes_) {
+        auto it = std::find_if(list.begin(), list.end(),
+                               [handle](const Entry &e) {
+                                   return e.handle == handle;
+                               });
+        if (it != list.end()) {
+            list.erase(it);
+            return;
+        }
+    }
 }
 
 sim::Tick
@@ -42,111 +33,15 @@ TracepointRegistry::fire(const RawSyscallEvent &event)
 {
     ++fired_;
     sim::Tick cost = 0;
-    for (auto &entry : probes_) {
-        if (entry.point == event.point)
-            cost += entry.probe(event);
-    }
-    return cost;
-}
-
-TracepointRegistry::BatchPlan &
-TracepointRegistry::planFor(TracepointId point)
-{
-    return plans_[static_cast<std::size_t>(point)];
-}
-
-void
-TracepointRegistry::invalidatePlans()
-{
-    for (auto &plan : plans_)
-        plan.computed = false;
-}
-
-sim::Tick
-TracepointRegistry::fireBatch(const RawSyscallBatch &batch)
-{
-    fired_ += batch.n;
-    if (batch.n == 0)
-        return 0;
-
-    BatchPlan &plan = planFor(batch.point);
-    if (!plan.computed) {
-        // Structurally batchable: every probe on the point understands
-        // bursts, and no two probes share mutable state (a shared map,
-        // ring buffer or RNG would make probe-major reordering
-        // observable in the interleaving of their accesses).
-        plan.batchable = true;
-        for (std::size_t a = 0; a < probes_.size() && plan.batchable; ++a) {
-            const Entry &ea = probes_[a];
-            if (ea.point != batch.point)
-                continue;
-            if (!ea.batch) {
-                plan.batchable = false;
-                break;
-            }
-            for (std::size_t b = a + 1; b < probes_.size(); ++b) {
-                const Entry &eb = probes_[b];
-                if (eb.point != batch.point)
-                    continue;
-                for (const void *ra : ea.stateRefs) {
-                    if (std::find(eb.stateRefs.begin(), eb.stateRefs.end(),
-                                  ra) != eb.stateRefs.end()) {
-                        plan.batchable = false;
-                        break;
-                    }
-                }
-                if (!plan.batchable)
-                    break;
-            }
-        }
-        plan.computed = true;
-    }
-
-    bool probeMajor = plan.batchable;
-    if (probeMajor) {
-        for (const auto &entry : probes_) {
-            if (entry.point == batch.point && entry.batchReady &&
-                !entry.batchReady()) {
-                probeMajor = false;
-                break;
-            }
-        }
-    }
-
-    sim::Tick cost = 0;
-    if (probeMajor) {
-        for (auto &entry : probes_) {
-            if (entry.point == batch.point)
-                cost += entry.batch(batch);
-        }
-        return cost;
-    }
-
-    // Event-major fallback: exactly equivalent to fire() per event
-    // (minus the already-done fired_ bookkeeping).
-    RawSyscallEvent ev;
-    ev.point = batch.point;
-    for (std::size_t i = 0; i < batch.n; ++i) {
-        ev.syscall = batch.syscalls[i];
-        ev.ret = batch.rets ? batch.rets[i] : 0;
-        ev.pidTgid = batch.pidTgids[i];
-        ev.timestamp = batch.timestamps[i];
-        for (auto &entry : probes_) {
-            if (entry.point == ev.point)
-                cost += entry.probe(ev);
-        }
-    }
+    for (auto &entry : probes_[static_cast<std::size_t>(event.point)])
+        cost += entry.probe(event);
     return cost;
 }
 
 std::size_t
 TracepointRegistry::probeCount(TracepointId point) const
 {
-    std::size_t n = 0;
-    for (const auto &entry : probes_)
-        if (entry.point == point)
-            ++n;
-    return n;
+    return probes_[static_cast<std::size_t>(point)].size();
 }
 
 } // namespace reqobs::kernel

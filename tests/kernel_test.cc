@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "kernel/kernel.hh"
@@ -89,6 +90,49 @@ TEST(TracepointTest, CostsSumAcrossProbes)
     ev.point = TracepointId::SysExit;
     EXPECT_EQ(reg.fire(ev), 30);
     EXPECT_EQ(reg.probeCount(TracepointId::SysExit), 3u);
+}
+
+TEST(TracepointTest, ProbesRunInAttachOrderPerPoint)
+{
+    TracepointRegistry reg;
+    const TracepointId points[3] = {TracepointId::SysEnter,
+                                    TracepointId::SysExit,
+                                    TracepointId::SchedSwitch};
+    std::vector<int> calls;
+    std::vector<ProbeHandle> handles;
+    auto probe = [&calls](int id) {
+        return [&calls, id](const RawSyscallEvent &) {
+            calls.push_back(id);
+            return sim::Tick{id};
+        };
+    };
+    // Probe i sits on points[i % 3]: the three lists interleave.
+    for (int i = 0; i < 9; ++i)
+        handles.push_back(reg.attach(points[i % 3], probe(i)));
+    reg.detach(handles[4]); // the middle of the SysExit list
+    reg.detach(ProbeHandle{9999}); // unknown: a no-op
+    handles.push_back(reg.attach(TracepointId::SysExit, probe(9)));
+
+    EXPECT_EQ(reg.probeCount(TracepointId::SysEnter), 3u);
+    EXPECT_EQ(reg.probeCount(TracepointId::SysExit), 3u);
+    EXPECT_EQ(reg.probeCount(TracepointId::SchedSwitch), 3u);
+    EXPECT_EQ(reg.probeCount(TracepointId::NetRxEnqueue), 0u);
+
+    auto fireAt = [&](TracepointId point, sim::Tick want_cost) {
+        calls.clear();
+        RawSyscallEvent ev;
+        ev.point = point;
+        EXPECT_EQ(reg.fire(ev), want_cost);
+        return calls;
+    };
+    EXPECT_EQ(fireAt(TracepointId::SysEnter, 0 + 3 + 6),
+              (std::vector<int>{0, 3, 6}));
+    EXPECT_EQ(fireAt(TracepointId::SysExit, 1 + 7 + 9),
+              (std::vector<int>{1, 7, 9}));
+    EXPECT_EQ(fireAt(TracepointId::SchedSwitch, 2 + 5 + 8),
+              (std::vector<int>{2, 5, 8}));
+    EXPECT_EQ(fireAt(TracepointId::NetRxEnqueue, 0), std::vector<int>{});
+    EXPECT_EQ(reg.firedCount(), 4u);
 }
 
 // ---------------------------------------------------------------- sockets
@@ -429,6 +473,46 @@ TEST(KernelSyscallTest, ThreadFinishTracked)
     EXPECT_FALSE(h.kernel.threadFinished(tid));
     h.sim.runFor(sim::milliseconds(1));
     EXPECT_TRUE(h.kernel.threadFinished(tid));
+}
+
+TEST(KernelTest, PerTgidSyscallCountsMatchSysEnterEvents)
+{
+    sim::Simulation sim(1);
+    Kernel kernel(sim);
+    std::map<Pid, std::uint64_t> seen;
+    kernel.tracepoints().attach(TracepointId::SysEnter,
+                                [&seen](const RawSyscallEvent &ev) {
+                                    ++seen[tgidOf(ev.pidTgid)];
+                                    return sim::Tick{0};
+                                });
+
+    // Two processes with different syscall counts; b runs two threads.
+    const Pid a = kernel.createProcess("a");
+    const Pid b = kernel.createProcess("b");
+    const Pid idle = kernel.createProcess("idle");
+    auto sleeper = [](int n) {
+        return [n](Kernel &k, Tid tid) -> Task {
+            for (int i = 0; i < n; ++i)
+                co_await k.sleepFor(tid, sim::microseconds(5));
+        };
+    };
+    kernel.spawnThread(a, sleeper(3));
+    kernel.spawnThread(b, sleeper(4));
+    kernel.spawnThread(b, sleeper(2));
+    sim.runFor(sim::milliseconds(1));
+
+    EXPECT_EQ(seen[a], 3u);
+    EXPECT_EQ(seen[b], 6u);
+    std::uint64_t total = 0;
+    for (const auto &[tgid, n] : seen) {
+        EXPECT_EQ(kernel.syscallCountFor(tgid), n) << tgid;
+        total += n;
+    }
+    EXPECT_EQ(kernel.syscallCountFor(a) + kernel.syscallCountFor(b),
+              kernel.syscallCount());
+    EXPECT_EQ(total, kernel.syscallCount());
+    EXPECT_EQ(kernel.syscallCountFor(idle), 0u);
+    EXPECT_EQ(kernel.syscallCountFor(Pid{4242}), 0u); // unknown pid
 }
 
 // --------------------------------------------------------------- notifier

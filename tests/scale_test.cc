@@ -1,21 +1,18 @@
 /**
  * @file
- * The batched event pipeline and its supporting cast: fireBatch versus
- * per-event dispatch must be observationally identical under both
- * engines (including the event-major fallback when probes share state),
- * the native compiler must cover the whole probe library and every
- * probe the agents build, per-CPU array shards must fold to the
- * unsharded totals, and the persistent worker pool must return
- * bit-identical experiment results across reuse while keeping each
- * batch to its thread budget, and experiments sharing the pool must
- * share no mutable state.
+ * Native-engine coverage and the persistent worker pool: the native
+ * compiler must cover the whole probe library and every probe the
+ * agents build, a non-library program must fall back to the reference
+ * interpreter with identical observations, and the worker pool must
+ * return bit-identical experiment results across reuse while keeping
+ * each batch to its thread budget, and experiments sharing the pool
+ * must share no mutable state.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -29,7 +26,6 @@
 #include "core/profile.hh"
 #include "core/tenant_metrics.hh"
 #include "ebpf/assembler.hh"
-#include "ebpf/maps.hh"
 #include "ebpf/native.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
@@ -40,206 +36,10 @@
 namespace reqobs {
 namespace {
 
-using kernel::RawSyscallBatch;
 using kernel::RawSyscallEvent;
 using kernel::TracepointId;
 
-constexpr std::int64_t kSendto = 44;
 constexpr std::int64_t kEpollWait = 232;
-
-/** A kernel + runtime with the tenant probe set attached. */
-struct Rig
-{
-    sim::Simulation sim{1};
-    std::unique_ptr<kernel::Kernel> kernel;
-    std::unique_ptr<ebpf::EbpfRuntime> rt;
-    ebpf::probes::DurationMaps dur;
-    ebpf::probes::DeltaMaps delta;
-    int sketchFd = -1;
-
-    explicit Rig(ebpf::ExecEngine engine, bool shared_stats = false)
-    {
-        kernel = std::make_unique<kernel::Kernel>(sim);
-        ebpf::RuntimeConfig rc;
-        rc.engine = engine;
-        rt = std::make_unique<ebpf::EbpfRuntime>(*kernel, rc);
-        ebpf::probes::TenantSet ts;
-        ts.tgids = {1000, 2000};
-        ts.pollSyscalls = {kEpollWait, kEpollWait};
-        dur = ebpf::probes::createTenantDurationMaps(*rt, 2, "scale.dur");
-        delta = ebpf::probes::createTenantDeltaMaps(*rt, 2, "scale.delta");
-        sketchFd = ebpf::probes::createTenantSketchMap(*rt, 2, 4, "scale");
-        auto v1 = rt->loadAndAttach(
-            ebpf::probes::buildTenantDurationEnter(*rt, ts, dur),
-            TracepointId::SysEnter);
-        auto v2 = rt->loadAndAttach(
-            ebpf::probes::buildTenantDurationExit(*rt, ts, dur),
-            TracepointId::SysExit);
-        auto v3 = rt->loadAndAttach(
-            ebpf::probes::buildTenantDeltaExit(*rt, ts, {kSendto}, delta),
-            TracepointId::SysExit);
-        // shared_stats attaches a second probe writing the SAME stats
-        // array: overlapping stateRefs force the event-major fallback.
-        auto v4 = shared_stats
-                      ? rt->loadAndAttach(ebpf::probes::buildTenantDeltaExit(
-                                              *rt, ts, {kEpollWait}, delta),
-                                          TracepointId::SysExit)
-                      : rt->loadAndAttach(
-                            ebpf::probes::buildTenantHeavyHitter(
-                                *rt, ts, {kSendto}, sketchFd),
-                            TracepointId::SysExit);
-        EXPECT_TRUE(v1.ok && v2.ok && v3.ok && v4.ok);
-    }
-};
-
-/** The deterministic event columns both dispatch paths consume. */
-struct Columns
-{
-    std::vector<std::int64_t> sys, rets;
-    std::vector<kernel::PidTgid> pids;
-    std::vector<sim::Tick> enterTs, exitTs;
-};
-
-Columns
-makeColumns(std::size_t n)
-{
-    Columns c;
-    for (std::size_t i = 0; i < n; ++i) {
-        c.sys.push_back(i % 3 == 0 ? kEpollWait
-                                   : (i % 3 == 1 ? kSendto : 7));
-        c.pids.push_back(kernel::makePidTgid(
-            i % 4 == 3 ? 9999 : (i % 2 ? 1000 : 2000),
-            1 + static_cast<std::uint32_t>(i % 5)));
-        c.rets.push_back(i % 6 == 0 ? -11 : 64);
-        c.enterTs.push_back(1000 + static_cast<sim::Tick>(i) * 300);
-        c.exitTs.push_back(1000 + static_cast<sim::Tick>(n + i) * 300);
-    }
-    return c;
-}
-
-void
-fireScalar(Rig &r, const Columns &c)
-{
-    RawSyscallEvent ev;
-    ev.point = TracepointId::SysEnter;
-    for (std::size_t i = 0; i < c.sys.size(); ++i) {
-        ev.syscall = c.sys[i];
-        ev.pidTgid = c.pids[i];
-        ev.timestamp = c.enterTs[i];
-        r.kernel->tracepoints().fire(ev);
-    }
-    ev.point = TracepointId::SysExit;
-    for (std::size_t i = 0; i < c.sys.size(); ++i) {
-        ev.syscall = c.sys[i];
-        ev.ret = c.rets[i];
-        ev.pidTgid = c.pids[i];
-        ev.timestamp = c.exitTs[i];
-        r.kernel->tracepoints().fire(ev);
-    }
-}
-
-void
-fireBatched(Rig &r, const Columns &c)
-{
-    RawSyscallBatch en;
-    en.point = TracepointId::SysEnter;
-    en.n = c.sys.size();
-    en.syscalls = c.sys.data();
-    en.pidTgids = c.pids.data();
-    en.timestamps = c.enterTs.data();
-    RawSyscallBatch ex = en;
-    ex.point = TracepointId::SysExit;
-    ex.rets = c.rets.data();
-    ex.timestamps = c.exitTs.data();
-    r.kernel->dispatchRawBatch(en);
-    r.kernel->dispatchRawBatch(ex);
-}
-
-void
-expectRigsEqual(const Rig &a, const Rig &b)
-{
-    EXPECT_EQ(a.rt->eventsProcessed(), b.rt->eventsProcessed());
-    EXPECT_EQ(a.rt->insnsInterpreted(), b.rt->insnsInterpreted());
-    EXPECT_EQ(a.rt->totalProbeCost(), b.rt->totalProbeCost());
-    EXPECT_EQ(a.rt->mapUpdateFails(), b.rt->mapUpdateFails());
-    for (std::uint32_t slot = 0; slot < 2; ++slot) {
-        const auto sa = a.rt->arrayAt(a.dur.statsFd)
-                            .at<ebpf::probes::SyscallStats>(slot);
-        const auto sb = b.rt->arrayAt(b.dur.statsFd)
-                            .at<ebpf::probes::SyscallStats>(slot);
-        EXPECT_EQ(0, std::memcmp(&sa, &sb, sizeof(sa))) << slot;
-        const auto da = a.rt->arrayAt(a.delta.statsFd)
-                            .at<ebpf::probes::SyscallStats>(slot);
-        const auto db = b.rt->arrayAt(b.delta.statsFd)
-                            .at<ebpf::probes::SyscallStats>(slot);
-        EXPECT_EQ(0, std::memcmp(&da, &db, sizeof(da))) << slot;
-    }
-    EXPECT_EQ(a.rt->sketchAt(a.sketchFd).topK(4),
-              b.rt->sketchAt(b.sketchFd).topK(4));
-}
-
-class BatchPipeline : public ::testing::TestWithParam<ebpf::ExecEngine>
-{};
-
-TEST_P(BatchPipeline, BatchDispatchMatchesScalarDispatch)
-{
-    Rig scalar(GetParam()), batched(GetParam());
-    const Columns c = makeColumns(512);
-    fireScalar(scalar, c);
-    fireBatched(batched, c);
-    EXPECT_GT(batched.rt->eventsProcessed(), 0u);
-    expectRigsEqual(scalar, batched);
-}
-
-TEST_P(BatchPipeline, SharedStateFallsBackToEventMajorAndStillMatches)
-{
-    // Two probes on the same stats array: probe-major execution would
-    // reorder their interleaving, so fireBatch must detect the overlap
-    // and run event-major. Outputs still match scalar exactly.
-    Rig scalar(GetParam(), /*shared_stats=*/true);
-    Rig batched(GetParam(), /*shared_stats=*/true);
-    const Columns c = makeColumns(512);
-    fireScalar(scalar, c);
-    fireBatched(batched, c);
-    expectRigsEqual(scalar, batched);
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, BatchPipeline,
-                         ::testing::Values(ebpf::ExecEngine::Reference,
-                                           ebpf::ExecEngine::Native));
-
-TEST(BatchPipeline, AttachBetweenBatchesInvalidatesThePlan)
-{
-    Rig r(ebpf::ExecEngine::Native);
-    const Columns c = makeColumns(64);
-    fireBatched(r, c);
-    const std::uint64_t events_before = r.rt->eventsProcessed();
-
-    // A probe attached after the first burst must see the next one.
-    ebpf::probes::DurationMaps extra =
-        ebpf::probes::createDurationMaps(*r.rt, "late");
-    const auto vr = r.rt->loadAndAttach(
-        ebpf::probes::buildDurationEnter(*r.rt, 1000, kEpollWait, extra),
-        TracepointId::SysEnter);
-    ASSERT_TRUE(vr.ok);
-    fireBatched(r, c);
-    const std::uint64_t per_burst = events_before;
-    EXPECT_EQ(r.rt->eventsProcessed(), events_before + per_burst + 64);
-}
-
-TEST(BatchPipeline, BatchAccountingMatchesScalarKernelCounters)
-{
-    Rig r(ebpf::ExecEngine::Native);
-    const Columns c = makeColumns(128);
-    fireBatched(r, c);
-    // dispatchRawBatch does the same per-syscall accounting fireEnter
-    // does: total count and the per-tgid breakdown.
-    EXPECT_EQ(r.kernel->syscallCount(), 128u);
-    std::uint64_t by_tgid = 0;
-    for (const auto &[tgid, n] : r.kernel->syscallsByTgid())
-        by_tgid += n;
-    EXPECT_EQ(by_tgid, 128u);
-}
 
 TEST(NativeEngine, CompilesTheEntireProbeLibrary)
 {
@@ -383,50 +183,6 @@ TEST(NativeEngine, NonLibraryProgramFallsBackToTheInterpreter)
     EXPECT_EQ(nat.events, ref.events);
     EXPECT_EQ(nat.insns, ref.insns);
     EXPECT_EQ(nat.cost, ref.cost);
-}
-
-TEST(PerCpuArrayMapTest, ShardsAreIndependentAndFoldToTheTotal)
-{
-    ebpf::PerCpuArrayMap m(8, 2, 4, "t");
-    EXPECT_EQ(m.cpus(), 4u);
-
-    // Userspace update writes every shard (bpf syscall semantics).
-    const std::uint32_t key = 1;
-    const std::uint64_t seed = 100;
-    EXPECT_EQ(0, m.put(key, seed));
-    for (std::uint32_t cpu = 0; cpu < 4; ++cpu)
-        EXPECT_EQ(m.shardAt<std::uint64_t>(cpu, key), seed);
-
-    // In-kernel writes through lookupShard stay shard-private.
-    for (std::uint32_t cpu = 0; cpu < 4; ++cpu) {
-        auto *p = m.lookupShard(
-            reinterpret_cast<const std::uint8_t *>(&key), cpu);
-        ASSERT_NE(p, nullptr);
-        std::uint64_t v;
-        std::memcpy(&v, p, 8);
-        v += cpu;
-        std::memcpy(p, &v, 8);
-    }
-    std::uint64_t total = 0;
-    for (std::uint32_t cpu = 0; cpu < 4; ++cpu)
-        total += m.shardAt<std::uint64_t>(cpu, key);
-    EXPECT_EQ(total, 4 * seed + 0 + 1 + 2 + 3);
-
-    // lookup() is shard 0; cpu wraps mod cpus; erase is -EINVAL.
-    std::uint64_t shard0;
-    std::memcpy(&shard0,
-                m.lookup(reinterpret_cast<const std::uint8_t *>(&key)), 8);
-    EXPECT_EQ(shard0, seed);
-    EXPECT_EQ(m.shardAt<std::uint64_t>(5, key),
-              m.shardAt<std::uint64_t>(1, key));
-    EXPECT_EQ(m.remove(key), -22);
-
-    // Out-of-range slot: null lookup, update rejected with -E2BIG.
-    const std::uint32_t bad = 7;
-    EXPECT_EQ(m.lookupShard(reinterpret_cast<const std::uint8_t *>(&bad),
-                            0),
-              nullptr);
-    EXPECT_EQ(m.put(bad, seed), -7);
 }
 
 TEST(WorkerPoolTest, ReusedPoolReturnsBitIdenticalResults)
