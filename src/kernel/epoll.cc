@@ -1,15 +1,28 @@
 #include "kernel/epoll.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
 namespace reqobs::kernel {
 
+namespace {
+
+constexpr std::uint64_t
+readyBit(Fd fd)
+{
+    return std::uint64_t{1} << (fd % 64);
+}
+
+} // namespace
+
 EpollInstance::~EpollInstance()
 {
-    for (auto &[fd, file] : interest_)
-        file->removeObserver(this);
+    for (const auto &file : interest_) {
+        if (file)
+            file->removeObserver(this);
+    }
 }
 
 void
@@ -17,9 +30,17 @@ EpollInstance::add(Fd fd, const std::shared_ptr<File> &file)
 {
     if (!file)
         sim::panic("EpollInstance::add: null file");
-    auto [it, inserted] = interest_.emplace(fd, file);
-    if (!inserted)
+    if (fd < 0)
+        sim::fatal("EpollInstance::add: negative fd %d", fd);
+    const auto slot = static_cast<std::size_t>(fd);
+    if (slot >= interest_.size()) {
+        interest_.resize(slot + 1);
+        ready_.resize(slot / 64 + 1);
+    }
+    if (interest_[fd])
         sim::fatal("EpollInstance::add: fd %d already registered", fd);
+    interest_[fd] = file;
+    ++watched_;
     file->addObserver(this, fd);
     if (file->readable())
         onReadable(fd);
@@ -28,50 +49,73 @@ EpollInstance::add(Fd fd, const std::shared_ptr<File> &file)
 void
 EpollInstance::remove(Fd fd)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end())
+    if (!watches(fd))
         return;
-    it->second->removeObserver(this);
-    interest_.erase(it);
+    interest_[fd]->removeObserver(this);
+    interest_[fd].reset();
+    --watched_;
+    ready_[fd / 64] &= ~readyBit(fd);
 }
 
 std::vector<ReadyFd>
 EpollInstance::collectReady(std::size_t max_events)
 {
     std::vector<ReadyFd> out;
-    if (interest_.empty() || max_events == 0)
+    if (watched_ == 0 || max_events == 0)
         return out;
-    // Start the scan after the cursor for round-robin fairness across fds.
-    auto start = interest_.upper_bound(scanCursor_);
-    if (start == interest_.end())
-        start = interest_.begin();
-    auto it = start;
-    do {
-        if (it->second->readable()) {
-            out.push_back(ReadyFd{it->first, true,
-                                  it->second->writable()});
-            scanCursor_ = it->first;
-            if (out.size() >= max_events)
-                break;
-        }
-        ++it;
-        if (it == interest_.end())
-            it = interest_.begin();
-    } while (it != start);
+    // Start the scan after the cursor for round-robin fairness across fds,
+    // then wrap around through the cursor itself.
+    const Fd cursor = scanCursor_;
+    if (!scanReady(cursor + 1, static_cast<Fd>(interest_.size()), max_events,
+                   out))
+        scanReady(0, cursor + 1, max_events, out);
     return out;
+}
+
+bool
+EpollInstance::scanReady(Fd lo, Fd hi, std::size_t max_events,
+                         std::vector<ReadyFd> &out)
+{
+    for (Fd base = lo - lo % 64; base < hi; base += 64) {
+        std::uint64_t &word = ready_[base / 64];
+        std::uint64_t bits = word;
+        if (base < lo)
+            bits &= ~std::uint64_t{0} << (lo - base);
+        if (hi - base < 64)
+            bits &= (std::uint64_t{1} << (hi - base)) - 1;
+        for (; bits != 0; bits &= bits - 1) {
+            const Fd fd = base + std::countr_zero(bits);
+            const File &file = *interest_[fd];
+            if (!file.readable()) {
+                word &= ~readyBit(fd);
+                continue;
+            }
+            out.push_back(ReadyFd{fd, true, file.writable()});
+            scanCursor_ = fd;
+            if (out.size() >= max_events)
+                return true;
+        }
+    }
+    return false;
 }
 
 bool
 EpollInstance::readable() const
 {
-    return std::any_of(interest_.begin(), interest_.end(), [](const auto &p) {
-        return p.second->readable();
-    });
+    for (std::size_t w = 0; w < ready_.size(); ++w) {
+        for (std::uint64_t bits = ready_[w]; bits != 0; bits &= bits - 1) {
+            if (interest_[w * 64 + std::countr_zero(bits)]->readable())
+                return true;
+        }
+    }
+    return false;
 }
 
 void
-EpollInstance::onReadable(Fd)
+EpollInstance::onReadable(Fd fd)
 {
+    if (watches(fd))
+        ready_[fd / 64] |= readyBit(fd);
     // Propagate to anything polling this epoll fd itself.
     signalReadable();
     // Wake exactly one blocked waiter per edge.

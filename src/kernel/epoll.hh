@@ -4,8 +4,12 @@
  *
  * Semantics follow Linux closely enough for the workloads here:
  *  - interest list of (fd, File) pairs, level-triggered readability;
- *  - epoll_wait scans the interest list first and returns immediately if
- *    anything is ready, else blocks until a readiness edge or timeout;
+ *  - every readiness edge marks its fd in a ready set (the job of
+ *    Linux's rdllist, which ep_poll_callback fills), so epoll_wait costs
+ *    O(ready), not O(watched). Ready fds come back in fd order from a
+ *    rotating cursor, where Linux's list is FIFO (DESIGN.md §17);
+ *  - epoll_wait returns immediately if anything is ready, else blocks
+ *    until a readiness edge or timeout;
  *  - multiple concurrent waiters are woken one-per-edge in FIFO order
  *    (EPOLLEXCLUSIVE-style, which is what multi-threaded servers want).
  */
@@ -16,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -34,7 +37,7 @@ class EpollInstance : public File, public ReadinessObserver
     /** @name Interest list (epoll_ctl). @{ */
     void add(Fd fd, const std::shared_ptr<File> &file);
     void remove(Fd fd);
-    std::size_t interestCount() const { return interest_.size(); }
+    std::size_t interestCount() const { return watched_; }
     /** @} */
 
     /** Ready fds right now, capped at @p max_events, round-robin fair. */
@@ -57,9 +60,31 @@ class EpollInstance : public File, public ReadinessObserver
     std::size_t waiterCount() const { return waiters_.size(); }
 
   private:
-    std::map<Fd, std::shared_ptr<File>> interest_;
+    /** Watched files indexed by fd (null where unwatched). */
+    std::deque<std::shared_ptr<File>> interest_;
+    std::size_t watched_ = 0;
+    /**
+     * One bit per fd, set on every readiness edge and cleared when a scan
+     * finds the fd drained. Every rising edge signals, so the set always
+     * holds every readable watched fd.
+     */
+    std::vector<std::uint64_t> ready_;
     /** Rotates so collectReady doesn't always favour low fds. */
     Fd scanCursor_ = 0;
+
+    /**
+     * Append the readable fds marked in [@p lo, @p hi) to @p out in fd
+     * order, unmarking drained ones; true once @p out holds @p max_events.
+     */
+    bool scanReady(Fd lo, Fd hi, std::size_t max_events,
+                   std::vector<ReadyFd> &out);
+
+    bool
+    watches(Fd fd) const
+    {
+        return fd >= 0 && static_cast<std::size_t>(fd) < interest_.size() &&
+               interest_[fd] != nullptr;
+    }
 
     struct Waiter
     {

@@ -19,7 +19,8 @@ namespace reqobs::kernel {
 
 /**
  * Receives readiness edges for a watched file. Implemented by
- * EpollInstance and by the kernel's transient select() waiters.
+ * EpollInstance, by IoUring (multishot receives) and by the kernel's
+ * transient select() waiters.
  */
 class ReadinessObserver
 {

@@ -102,7 +102,8 @@ Kernel::installFile(Pid pid, std::shared_ptr<File> file)
 {
     Process &proc = processOf(pid);
     const Fd fd = proc.nextFd++;
-    proc.fds.emplace(fd, std::move(file));
+    proc.fds.resize(fd); // first install: fds 0-2 stay empty
+    proc.fds.push_back(std::move(file));
     return fd;
 }
 
@@ -313,8 +314,9 @@ std::shared_ptr<File>
 Kernel::fileAt(Pid pid, Fd fd) const
 {
     const Process &proc = processOf(pid);
-    auto it = proc.fds.find(fd);
-    return it == proc.fds.end() ? nullptr : it->second;
+    if (fd < 0 || static_cast<std::size_t>(fd) >= proc.fds.size())
+        return nullptr;
+    return proc.fds[fd];
 }
 
 std::shared_ptr<Socket>

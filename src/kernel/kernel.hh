@@ -28,6 +28,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -392,7 +393,8 @@ class Kernel
     {
         Pid pid;
         std::string name;
-        std::map<Fd, std::shared_ptr<File>> fds;
+        /** Open files indexed by fd; nothing is ever closed. */
+        std::deque<std::shared_ptr<File>> fds;
         Fd nextFd = 3;
     };
 

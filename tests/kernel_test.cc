@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "kernel/kernel.hh"
@@ -166,6 +169,65 @@ TEST(SocketTest, TransmitInvokesHook)
     EXPECT_EQ(s.transmitted(), 1u);
 }
 
+// ------------------------------------------------------------------ files
+
+/** Logs (id, cookie) per edge; may unregister itself when notified. */
+struct RecordingObserver : ReadinessObserver
+{
+    std::vector<std::pair<int, Fd>> *log;
+    int id;
+    File *unregisterFrom = nullptr;
+
+    RecordingObserver(std::vector<std::pair<int, Fd>> *log_, int id_,
+                      File *unregister_from = nullptr)
+        : log(log_), id(id_), unregisterFrom(unregister_from)
+    {}
+
+    void
+    onReadable(Fd fd) override
+    {
+        log->emplace_back(id, fd);
+        if (unregisterFrom)
+            unregisterFrom->removeObserver(this);
+    }
+};
+
+TEST(FileTest, SignalReadableNotifiesObserversRegisteredAtTheEdge)
+{
+    using Log = std::vector<std::pair<int, Fd>>;
+    Log log;
+
+    // One observer: one call per edge, carrying its cookie.
+    Socket one(1);
+    RecordingObserver only(&log, 1);
+    one.addObserver(&only, 7);
+    one.deliver(Message{}, 0);
+    one.deliver(Message{}, 0);
+    EXPECT_EQ(log, (Log{{1, 7}, {1, 7}}));
+
+    // A lone observer that unregisters itself hears only its edge.
+    log.clear();
+    Socket lone(2);
+    RecordingObserver once(&log, 1, &lone);
+    lone.addObserver(&once, 5);
+    lone.deliver(Message{}, 0);
+    lone.deliver(Message{}, 0);
+    EXPECT_EQ(log, (Log{{1, 5}}));
+
+    // Two observers, the first unregistering itself mid-loop: both hear
+    // this edge in registration order; only the second hears the next.
+    log.clear();
+    Socket two(3);
+    RecordingObserver first(&log, 1, &two);
+    RecordingObserver second(&log, 2);
+    two.addObserver(&first, 3);
+    two.addObserver(&second, 4);
+    two.deliver(Message{}, 0);
+    EXPECT_EQ(log, (Log{{1, 3}, {2, 4}}));
+    two.deliver(Message{}, 0);
+    EXPECT_EQ(log, (Log{{1, 3}, {2, 4}, {2, 4}}));
+}
+
 // ------------------------------------------------------------------ epoll
 
 TEST(EpollTest, LevelTriggeredCollect)
@@ -230,6 +292,158 @@ TEST(EpollTest, RemoveFdStopsNotifications)
     ep.remove(3);
     sock->deliver(Message{}, 0);
     EXPECT_TRUE(ep.collectReady(8).empty());
+}
+
+TEST(EpollTest, AddRejectsNegativeAndDuplicateFds)
+{
+    EpollInstance ep;
+    auto sock = std::make_shared<Socket>(1);
+    ep.add(3, sock);
+    EXPECT_DEATH(ep.add(-1, sock), "negative fd -1");
+    EXPECT_DEATH(ep.add(3, std::make_shared<Socket>(2)),
+                 "fd 3 already registered");
+}
+
+/**
+ * Reference interest list: collectReady as a full scan of every watched
+ * fd, starting after the cursor and wrapping around in fd order. The
+ * ready set must reproduce it exactly.
+ */
+struct FullScanEpoll
+{
+    std::map<Fd, std::shared_ptr<File>> interest;
+    Fd scanCursor = 0;
+
+    std::vector<Fd>
+    collectReady(std::size_t max_events)
+    {
+        std::vector<Fd> out;
+        if (interest.empty() || max_events == 0)
+            return out;
+        auto start = interest.upper_bound(scanCursor);
+        if (start == interest.end())
+            start = interest.begin();
+        auto it = start;
+        do {
+            if (it->second->readable()) {
+                out.push_back(it->first);
+                scanCursor = it->first;
+                if (out.size() >= max_events)
+                    break;
+            }
+            ++it;
+            if (it == interest.end())
+                it = interest.begin();
+        } while (it != start);
+        return out;
+    }
+
+    bool
+    anyReadable() const
+    {
+        return std::any_of(interest.begin(), interest.end(),
+                           [](const auto &p) { return p.second->readable(); });
+    }
+};
+
+std::vector<Fd>
+readyFds(const std::vector<ReadyFd> &ready)
+{
+    std::vector<Fd> fds;
+    for (const ReadyFd &r : ready) {
+        EXPECT_TRUE(r.readable && r.writable);
+        fds.push_back(r.fd);
+    }
+    return fds;
+}
+
+TEST(EpollTest, ReadyListMatchesFullScanOracle)
+{
+    // 72 fds, so the ready bitmap spans two words. Every eighth fd is a
+    // listen socket; the last is a nested epoll over the other fds.
+    constexpr Fd kFds = 72;
+    constexpr Fd kNested = kFds - 1;
+    std::size_t returned = 0, high_word = 0, capped = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed=" << seed);
+        std::mt19937_64 rng(seed);
+        std::vector<std::shared_ptr<File>> files(kFds);
+        std::vector<std::shared_ptr<Socket>> socks(kFds);
+        std::vector<std::shared_ptr<ListenSocket>> listeners(kFds);
+        auto nested = std::make_shared<EpollInstance>();
+        for (Fd fd = 0; fd < kNested; ++fd) {
+            if (fd % 8 == 0)
+                files[fd] = listeners[fd] = std::make_shared<ListenSocket>();
+            else
+                files[fd] = socks[fd] = std::make_shared<Socket>(fd);
+        }
+        files[kNested] = nested;
+        EpollInstance ep;
+        FullScanEpoll oracle, nested_oracle;
+
+        for (int step = 0; step < 3000; ++step) {
+            const Fd fd = static_cast<Fd>(rng() % kFds);
+            const std::size_t max = 1 + rng() % 4;
+            switch (rng() % 10) {
+            case 0: // epoll_ctl(ADD)
+                if (oracle.interest.emplace(fd, files[fd]).second)
+                    ep.add(fd, files[fd]);
+                break;
+            case 1: // epoll_ctl(DEL)
+                ep.remove(fd);
+                oracle.interest.erase(fd);
+                break;
+            case 2:
+                if (socks[fd])
+                    socks[fd]->deliver(Message{}, 0);
+                break;
+            case 3:
+                if (socks[fd] && socks[fd]->hasData())
+                    socks[fd]->pop();
+                break;
+            case 4:
+                if (listeners[fd])
+                    listeners[fd]->enqueueConnection(
+                        std::make_shared<Socket>(1000 + step));
+                break;
+            case 5:
+                if (listeners[fd] && listeners[fd]->hasPending())
+                    listeners[fd]->acceptOne();
+                break;
+            case 6: // toggle fd in the nested epoll
+                if (fd == kNested)
+                    break;
+                if (nested_oracle.interest.erase(fd)) {
+                    nested->remove(fd);
+                } else {
+                    nested_oracle.interest.emplace(fd, files[fd]);
+                    nested->add(fd, files[fd]);
+                }
+                break;
+            case 7:
+                ASSERT_EQ(readyFds(nested->collectReady(max)),
+                          nested_oracle.collectReady(max))
+                    << "nested, step " << step;
+                break;
+            default: {
+                const std::vector<Fd> want = oracle.collectReady(max);
+                ASSERT_EQ(readyFds(ep.collectReady(max)), want)
+                    << "step " << step << ", max " << max;
+                returned += want.size();
+                high_word += std::count_if(want.begin(), want.end(),
+                                           [](Fd f) { return f >= 64; });
+                capped += want.size() == max;
+            }
+            }
+            ASSERT_EQ(nested->readable(), nested_oracle.anyReadable())
+                << "step " << step;
+            ASSERT_EQ(ep.interestCount(), oracle.interest.size());
+        }
+    }
+    // The scripts must reach the second bitmap word and the event cap.
+    EXPECT_GT(returned, 10000u);
+    EXPECT_GT(high_word, 1000u);
+    EXPECT_GT(capped, 1000u);
 }
 
 // --------------------------------------------------- syscalls end-to-end
@@ -352,6 +566,22 @@ TEST(KernelSyscallTest, RecvOnEmptySocketReturnsEagain)
     });
     h.sim.runFor(sim::milliseconds(1));
     EXPECT_EQ(ret, -11);
+}
+
+TEST(KernelSyscallTest, RecvOnUnknownFdReturnsEagain)
+{
+    Harness h;
+    const Pid pid = h.kernel.createProcess("unknown");
+    h.kernel.installSocket(pid, 1);
+    std::int64_t unchecked = 0, past_end = 0;
+    h.kernel.spawnThread(pid, [&](Kernel &k, Tid tid) -> Task {
+        // An unchecked accept() error code, then an fd past the table.
+        unchecked = (co_await k.recv(tid, -11, Syscall::Read)).ret;
+        past_end = (co_await k.recv(tid, 100000, Syscall::Read)).ret;
+    });
+    h.sim.runFor(sim::milliseconds(1));
+    EXPECT_EQ(unchecked, -11);
+    EXPECT_EQ(past_end, -11);
 }
 
 TEST(KernelSyscallTest, SelectWakesOnData)
