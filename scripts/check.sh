@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full pre-merge check: Release build + tier-1 tests (library probes on
 # the default native engine, the engine-equality suite against the
-# reference interpreter), the figure-bench golden hashes and benchmark
-# workload digests, sanitizer build + tier-1 tests, then the gated
-# host-perf report (BENCH_perf.json), the gated scale report
+# reference interpreter), the figure-bench and chaos-bench golden hashes
+# and benchmark workload digests, sanitizer build + tier-1 tests, then
+# the gated host-perf report (BENCH_perf.json), the gated scale report
 # (BENCH_scale.json: scalar per-event tracepoint dispatch, the path
 # every experiment takes), the closed-loop control report
 # (BENCH_control.json), the front-door storm report
@@ -103,6 +103,17 @@ for fig in bench_fig1_trace bench_fig2_rps_correlation \
     REQOBS_SCHED=gps "$repo/build-check/bench/$fig" > "$tmp/$fig"
 done
 (cd "$tmp" && sha256sum -c "$repo/scripts/figure_bench_golden.sha256")
+
+# bench_fault_matrix and bench_supervisor are the only benches that
+# drive connection resets through the client and run the loss-aware and
+# supervised agent paths, which the figure hashes never reach. Their
+# stdout is pinned the same way: neither prints host or timing data,
+# and both read the same serial or parallel (REQOBS_JOBS=1 or 4).
+echo "== Chaos-bench golden hashes =="
+for bench in bench_fault_matrix bench_supervisor; do
+    "$repo/build-check/bench/$bench" > "$tmp/$bench"
+done
+(cd "$tmp" && sha256sum -c "$repo/scripts/chaos_bench_golden.sha256")
 
 # The figure hashes never reach the cluster, discrete-scheduler and
 # front-door paths; the benchmark's four workloads do. Their result

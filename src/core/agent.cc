@@ -6,13 +6,146 @@ namespace reqobs::core {
 
 using ebpf::probes::SyscallStats;
 
+TenantMetrics::TenantMetrics(const AgentConfig &config)
+    : lossAware_(config.lossAware), saturation_(config.saturation),
+      slack_(config.slack)
+{}
+
+std::uint64_t
+TenantMetrics::fresh(const FamilyCounters &now,
+                     const AgentHealth &health) const
+{
+    return health.sendAttached   ? now.send.count - start_.send.count
+           : health.recvAttached ? now.recv.count - start_.recv.count
+                                 : now.poll.count - start_.poll.count;
+}
+
+TenantMetrics::LossSnaps
+TenantMetrics::familySnap(const ebpf::EbpfRuntime &runtime,
+                          const AgentHealth &health)
+{
+    // A detached family has no program to account for (and the poll
+    // pair counts only with both halves live).
+    const std::array<bool, 4> attached = {health.sendAttached,
+                                          health.recvAttached,
+                                          health.pollAttached,
+                                          health.pollAttached};
+    static const std::array<const char *, 4> names = {
+        "send.delta_exit", "recv.delta_exit", "poll.duration_enter",
+        "poll.duration_exit"};
+    LossSnaps out{};
+    for (std::size_t i = 0; i < names.size(); ++i)
+        if (attached[i])
+            out[i] = {runtime.probeLoss(names[i]),
+                      runtime.probeMissesFor(names[i]),
+                      runtime.probeRunsFor(names[i])};
+    return out;
+}
+
+void
+TenantMetrics::stampLoss(const ebpf::EbpfRuntime &runtime,
+                         AgentHealth &health) const
+{
+    health.mapUpdateFails = carried_.mapUpdateFails + runtime.mapUpdateFails();
+    health.ringbufDrops = carried_.ringbufDrops + runtime.ringbufDrops();
+    health.probeMisses = carried_.probeMisses + runtime.probeMisses();
+}
+
+MetricsSample
+TenantMetrics::observe(sim::Tick t, const FamilyCounters &now,
+                       const ebpf::EbpfRuntime &runtime, double share,
+                       AgentHealth &health, std::uint64_t runq_count,
+                       double runq_p99_ns)
+{
+    stampLoss(runtime, health);
+
+    MetricsSample s;
+    s.t = t;
+    s.send = diffStats(start_.send, now.send);
+    s.recv = diffStats(start_.recv, now.recv);
+    if (now.poll.count > start_.poll.count &&
+        now.poll.sumNs >= start_.poll.sumNs) {
+        s.pollCount = now.poll.count - start_.poll.count;
+        s.pollMeanDurNs =
+            static_cast<double>(now.poll.sumNs - start_.poll.sumNs) /
+            static_cast<double>(s.pollCount);
+    }
+    if (lossAware_) {
+        const LossSnaps loss = familySnap(runtime, health);
+        const std::uint64_t d_send =
+            lostEvents(loss[0], lossStart_[0], s.send.count, share);
+        const std::uint64_t d_recv =
+            lostEvents(loss[1], lossStart_[1], s.recv.count, share);
+        const std::uint64_t d_poll =
+            lostEvents(loss[2], lossStart_[2], s.pollCount, share) +
+            lostEvents(loss[3], lossStart_[3], s.pollCount, share);
+        s.send = correctForLoss(s.send, d_send);
+        s.recv = correctForLoss(s.recv, d_recv);
+        // Poll durations are per-event measurements, not inter-event
+        // deltas: losing one loses a sample without biasing the others'
+        // mean, so only the count is restored.
+        if (s.pollCount > 0)
+            s.pollCount += d_poll;
+        health.lossCorrectedEvents += d_send + d_recv + d_poll;
+        lossStart_ = loss;
+    }
+    s.rpsObsv = rpsFromWindow(s.send);
+
+    rps_.observe(s.send);
+    s.saturated = saturation_.observe(s.send);
+    if (s.pollCount > 0)
+        slack_.observe(s.pollMeanDurNs);
+    s.slack = slack_.slack();
+    s.health = health;
+    s.runqCount = runq_count;
+    s.runqP99Ns = runq_p99_ns;
+
+    samples_.push_back(s);
+    start_ = now;
+    return s;
+}
+
+void
+TenantMetrics::reseed(const FamilyCounters &now,
+                      const ebpf::EbpfRuntime &runtime,
+                      const AgentHealth &health)
+{
+    start_ = now;
+    if (lossAware_)
+        lossStart_ = familySnap(runtime, health);
+}
+
+AgentCheckpoint
+TenantMetrics::checkpoint(const AgentHealth &health) const
+{
+    AgentCheckpoint c;
+    c.windowStart = start_;
+    c.rps = rps_;
+    c.saturation = saturation_;
+    c.slack = slack_;
+    c.health = health;
+    return c;
+}
+
+void
+TenantMetrics::restore(const AgentCheckpoint &ckpt,
+                       const ebpf::EbpfRuntime &runtime, AgentHealth &health)
+{
+    start_ = ckpt.windowStart;
+    rps_ = ckpt.rps;
+    saturation_ = ckpt.saturation;
+    slack_ = ckpt.slack;
+    lossStart_ = {};
+    carried_ = ckpt.health;
+    stampLoss(runtime, health);
+}
+
 ObservabilityAgent::ObservabilityAgent(kernel::Kernel &kernel,
                                        kernel::Pid tgid,
                                        const SyscallProfile &profile,
                                        const AgentConfig &config)
     : kernel_(kernel), tgid_(tgid), profile_(profile), config_(config),
-      saturation_(config.saturation), slack_(config.slack),
-      alive_(std::make_shared<bool>(true))
+      metrics_(config), alive_(std::make_shared<bool>(true))
 {
     runtime_ = std::make_unique<ebpf::EbpfRuntime>(kernel, config.runtime);
 }
@@ -78,17 +211,8 @@ ObservabilityAgent::start()
 
     running_ = true;
     backoff_ = 1;
-    sendSnap_ = SyscallStats{};
-    recvSnap_ = SyscallStats{};
-    pollSnap_ = SyscallStats{};
     tearNextWindow_ = false;
-    baseMapUpdateFails_ = 0;
-    baseRingbufDrops_ = 0;
-    baseProbeMisses_ = 0;
-    lossSendSnap_ = {};
-    lossRecvSnap_ = {};
-    lossPollEnterSnap_ = {};
-    lossPollExitSnap_ = {};
+    metrics_.reseed(FamilyCounters{}, *runtime_, health_);
     scheduleSample();
 }
 
@@ -106,36 +230,6 @@ SyscallStats
 ObservabilityAgent::readStats(int fd) const
 {
     return runtime_->arrayAt(fd).at<SyscallStats>(0);
-}
-
-ObservabilityAgent::LossSnap
-ObservabilityAgent::familySnap(bool attached, const char *name) const
-{
-    if (!attached)
-        return {};
-    return {runtime_->probeLoss(name), runtime_->probeMissesFor(name),
-            runtime_->probeRunsFor(name)};
-}
-
-std::uint64_t
-ObservabilityAgent::lostEvents(const LossSnap &now, const LossSnap &snap,
-                               std::uint64_t window_count)
-{
-    // In-program losses (failed map updates, ringbuf drops) happen after
-    // the bytecode's syscall-id filter: absolute counts of lost family
-    // events. Missed runs happen before the program (and its filter)
-    // ever executes, across every syscall the raw tracepoint fires for,
-    // so only the family's share of arrivals was really lost — scale
-    // the misses by the window's recorded-events-per-run ratio (misses
-    // strike independently of syscall type).
-    const std::uint64_t d_inprog =
-        (now.loss - now.misses) - (snap.loss - snap.misses);
-    const std::uint64_t d_miss = now.misses - snap.misses;
-    const std::uint64_t d_runs = now.runs - snap.runs;
-    std::uint64_t est = d_inprog;
-    if (d_miss > 0 && d_runs > 0)
-        est += (window_count * d_miss + d_runs / 2) / d_runs;
-    return est;
 }
 
 void
@@ -156,12 +250,13 @@ ObservabilityAgent::takeSample()
 {
     // A detached family's map never advances; reading it anyway would
     // only feed zero windows. Partial-operation mode: read what's live.
-    const SyscallStats send_now =
-        health_.sendAttached ? readStats(sendMaps_.statsFd) : SyscallStats{};
-    const SyscallStats recv_now =
-        health_.recvAttached ? readStats(recvMaps_.statsFd) : SyscallStats{};
-    const SyscallStats poll_now =
-        health_.pollAttached ? readStats(pollMaps_.statsFd) : SyscallStats{};
+    FamilyCounters now;
+    if (health_.sendAttached)
+        now.send = readStats(sendMaps_.statsFd);
+    if (health_.recvAttached)
+        now.recv = readStats(recvMaps_.statsFd);
+    if (health_.pollAttached)
+        now.poll = readStats(pollMaps_.statsFd);
 
     // A cumulative counter moving backwards means the kernel-side map
     // state was reset under us (a wiped map / lost pin across a
@@ -169,37 +264,21 @@ ObservabilityAgent::takeSample()
     // an astronomical window; a restart-spanning window (marked torn by
     // the supervisor) likewise holds one outage-wide delta. Both tear
     // down exactly this window: reseed every snapshot, emit nothing.
+    const FamilyCounters &start = metrics_.windowStart();
     const bool regressed =
-        (health_.sendAttached && send_now.count < sendSnap_.count) ||
-        (health_.recvAttached && recv_now.count < recvSnap_.count) ||
-        (health_.pollAttached && poll_now.count < pollSnap_.count);
+        (health_.sendAttached && now.send.count < start.send.count) ||
+        (health_.recvAttached && now.recv.count < start.recv.count) ||
+        (health_.pollAttached && now.poll.count < start.poll.count);
     if (regressed || tearNextWindow_) {
         tearNextWindow_ = false;
         ++health_.discontinuities;
-        sendSnap_ = send_now;
-        recvSnap_ = recv_now;
-        pollSnap_ = poll_now;
-        if (config_.lossAware) {
-            lossSendSnap_ =
-                familySnap(health_.sendAttached, "send.delta_exit");
-            lossRecvSnap_ =
-                familySnap(health_.recvAttached, "recv.delta_exit");
-            lossPollEnterSnap_ =
-                familySnap(health_.pollAttached, "poll.duration_enter");
-            lossPollExitSnap_ =
-                familySnap(health_.pollAttached, "poll.duration_exit");
-        }
+        metrics_.reseed(now, *runtime_, health_);
         return;
     }
 
-    // Freshness gate on the first attached family (send preferred: it is
-    // Eq. 1's signal). With everything detached every window is stale and
-    // the agent idles at maximum backoff instead of crashing.
-    const std::uint64_t fresh =
-        health_.sendAttached ? send_now.count - sendSnap_.count
-        : health_.recvAttached ? recv_now.count - recvSnap_.count
-                               : poll_now.count - pollSnap_.count;
-    if (fresh < config_.minWindowSyscalls) {
+    // Freshness gate. With everything detached every window is stale
+    // and the agent idles at maximum backoff instead of crashing.
+    if (metrics_.fresh(now, health_) < config_.minWindowSyscalls) {
         // keep accumulating this window
         ++health_.staleWindows;
         if (config_.staleBackoff && backoff_ < config_.maxBackoffFactor)
@@ -209,145 +288,65 @@ ObservabilityAgent::takeSample()
     }
     backoff_ = 1;
     health_.backoffFactor = backoff_;
-    health_.mapUpdateFails = baseMapUpdateFails_ + runtime_->mapUpdateFails();
-    health_.ringbufDrops = baseRingbufDrops_ + runtime_->ringbufDrops();
-    health_.probeMisses = baseProbeMisses_ + runtime_->probeMisses();
 
-    MetricsSample s;
-    s.t = kernel_.sim().now();
-    s.send = diffStats(sendSnap_, send_now);
-    s.recv = diffStats(recvSnap_, recv_now);
-    if (poll_now.count > pollSnap_.count &&
-        poll_now.sumNs >= pollSnap_.sumNs) {
-        s.pollCount = poll_now.count - pollSnap_.count;
-        s.pollMeanDurNs =
-            static_cast<double>(poll_now.sumNs - pollSnap_.sumNs) /
-            static_cast<double>(s.pollCount);
-    }
-    if (config_.lossAware) {
-        const LossSnap loss_send =
-            familySnap(health_.sendAttached, "send.delta_exit");
-        const LossSnap loss_recv =
-            familySnap(health_.recvAttached, "recv.delta_exit");
-        const LossSnap loss_pe =
-            familySnap(health_.pollAttached, "poll.duration_enter");
-        const LossSnap loss_px =
-            familySnap(health_.pollAttached, "poll.duration_exit");
-        const std::uint64_t d_send =
-            lostEvents(loss_send, lossSendSnap_, s.send.count);
-        const std::uint64_t d_recv =
-            lostEvents(loss_recv, lossRecvSnap_, s.recv.count);
-        const std::uint64_t d_poll =
-            lostEvents(loss_pe, lossPollEnterSnap_, s.pollCount) +
-            lostEvents(loss_px, lossPollExitSnap_, s.pollCount);
-        s.send = correctForLoss(s.send, d_send);
-        s.recv = correctForLoss(s.recv, d_recv);
-        // Poll durations are per-event measurements, not inter-event
-        // deltas: losing one loses a sample without biasing the others'
-        // mean, so only the count is restored.
-        if (s.pollCount > 0)
-            s.pollCount += d_poll;
-        health_.lossCorrectedEvents += d_send + d_recv + d_poll;
-        lossSendSnap_ = loss_send;
-        lossRecvSnap_ = loss_recv;
-        lossPollEnterSnap_ = loss_pe;
-        lossPollExitSnap_ = loss_px;
-    }
-    s.rpsObsv = rpsFromWindow(s.send);
-
-    rpsEstimator_.observe(s.send);
-    s.saturated = saturation_.observe(s.send);
-    if (s.pollCount > 0)
-        slack_.observe(s.pollMeanDurNs);
-    s.slack = slack_.slack();
-    s.health = health_;
-
-    samples_.push_back(s);
-    sendSnap_ = send_now;
-    recvSnap_ = recv_now;
-    pollSnap_ = poll_now;
+    const MetricsSample s =
+        metrics_.observe(kernel_.sim().now(), now, *runtime_, 1.0, health_);
     if (config_.sampleHook)
         config_.sampleHook(s);
+}
+
+FamilyCounters
+ObservabilityAgent::counters() const
+{
+    return {readStats(sendMaps_.statsFd), readStats(recvMaps_.statsFd),
+            readStats(pollMaps_.statsFd)};
 }
 
 double
 ObservabilityAgent::overallObservedRps() const
 {
-    const SyscallStats s = readStats(sendMaps_.statsFd);
-    if (s.count == 0 || s.sumNs == 0)
-        return 0.0;
-    return 1e9 * static_cast<double>(s.count) /
-           static_cast<double>(s.sumNs);
+    return wholeRunRps(counters().send);
 }
 
 double
 ObservabilityAgent::overallSendVariance() const
 {
-    const SyscallStats s = readStats(sendMaps_.statsFd);
-    return diffStats(SyscallStats{}, s).varianceNs2;
+    return diffStats(SyscallStats{}, counters().send).varianceNs2;
 }
 
 double
 ObservabilityAgent::overallRecvVariance() const
 {
-    const SyscallStats s = readStats(recvMaps_.statsFd);
-    return diffStats(SyscallStats{}, s).varianceNs2;
+    return diffStats(SyscallStats{}, counters().recv).varianceNs2;
 }
 
 double
 ObservabilityAgent::overallPollMeanDurationNs() const
 {
-    const SyscallStats s = readStats(pollMaps_.statsFd);
-    if (s.count == 0)
-        return 0.0;
-    return static_cast<double>(s.sumNs) / static_cast<double>(s.count);
+    return wholeRunMeanNs(counters().poll);
 }
 
 std::uint64_t
 ObservabilityAgent::sendSyscalls() const
 {
-    return readStats(sendMaps_.statsFd).count;
+    return counters().send.count;
 }
 
 AgentCheckpoint
 ObservabilityAgent::checkpoint() const
 {
-    AgentCheckpoint c;
-    c.sendSnap = sendSnap_;
-    c.recvSnap = recvSnap_;
-    c.pollSnap = pollSnap_;
-    c.rps = rpsEstimator_;
-    c.saturation = saturation_;
-    c.slack = slack_;
-    c.health = health_;
-    return c;
+    return metrics_.checkpoint(health_);
 }
 
 void
 ObservabilityAgent::restore(const AgentCheckpoint &ckpt)
 {
-    sendSnap_ = ckpt.sendSnap;
-    recvSnap_ = ckpt.recvSnap;
-    pollSnap_ = ckpt.pollSnap;
-    rpsEstimator_ = ckpt.rps;
-    saturation_ = ckpt.saturation;
-    slack_ = ckpt.slack;
     // Attach health stays this incarnation's; the cumulative counters
-    // resume from the checkpoint. This (fresh) runtime's loss counters
-    // restart at zero, so the checkpointed totals become base offsets.
+    // resume from the checkpoint.
     health_.staleWindows = ckpt.health.staleWindows;
     health_.discontinuities = ckpt.health.discontinuities;
     health_.lossCorrectedEvents = ckpt.health.lossCorrectedEvents;
-    baseMapUpdateFails_ = ckpt.health.mapUpdateFails;
-    baseRingbufDrops_ = ckpt.health.ringbufDrops;
-    baseProbeMisses_ = ckpt.health.probeMisses;
-    health_.mapUpdateFails = baseMapUpdateFails_ + runtime_->mapUpdateFails();
-    health_.ringbufDrops = baseRingbufDrops_ + runtime_->ringbufDrops();
-    health_.probeMisses = baseProbeMisses_ + runtime_->probeMisses();
-    lossSendSnap_ = {};
-    lossRecvSnap_ = {};
-    lossPollEnterSnap_ = {};
-    lossPollExitSnap_ = {};
+    metrics_.restore(ckpt, *runtime_, health_);
 }
 
 } // namespace reqobs::core

@@ -10,11 +10,17 @@
  * syscalls becomes a MetricsSample feeding the Eq. 1 / Eq. 2 / slack
  * estimators — no userspace cooperation from the observed application
  * anywhere in the path.
+ *
+ * TenantMetrics is that window stage for one tenant: window-start
+ * snapshots, the loss-aware reconstruction and the estimator chain.
+ * ObservabilityAgent runs one; MultiTenantAgent (core/tenant_metrics)
+ * runs one per tenant slot.
  */
 
 #ifndef REQOBS_CORE_AGENT_HH
 #define REQOBS_CORE_AGENT_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -150,6 +156,14 @@ struct MetricsSample
     /** @} */
 };
 
+/** One tenant's cumulative in-kernel counters, one entry per family. */
+struct FamilyCounters
+{
+    ebpf::probes::SyscallStats send{};
+    ebpf::probes::SyscallStats recv{};
+    ebpf::probes::SyscallStats poll{};
+};
+
 /**
  * Userspace agent state worth surviving a crash: the window-start
  * counter snapshots plus the estimator accumulators plus the cumulative
@@ -159,13 +173,83 @@ struct MetricsSample
  */
 struct AgentCheckpoint
 {
-    ebpf::probes::SyscallStats sendSnap{};
-    ebpf::probes::SyscallStats recvSnap{};
-    ebpf::probes::SyscallStats pollSnap{};
+    FamilyCounters windowStart;
     RpsEstimator rps;
     SaturationDetector saturation;
     SlackEstimator slack;
     AgentHealth health; ///< cumulative counters at checkpoint time
+};
+
+/**
+ * One tenant's window stage; see file comment. A window runs from the
+ * last emitted sample (or reseed) to the sample tick that closes it.
+ */
+class TenantMetrics
+{
+  public:
+    explicit TenantMetrics(const AgentConfig &config = {});
+
+    /**
+     * Events recorded since the window started on the first attached
+     * family of @p health (send preferred: it is Eq. 1's signal).
+     */
+    std::uint64_t fresh(const FamilyCounters &now,
+                        const AgentHealth &health) const;
+
+    /**
+     * Close the window at counters @p now and start the next one there.
+     * Stamps @p runtime's loss counters on @p health; with
+     * AgentConfig::lossAware, de-biases the window for the events its
+     * programs lost meanwhile (@p share prorates in-program losses; see
+     * lostEvents) and adds them to health.lossCorrectedEvents. Then
+     * feeds the estimators and returns the emitted sample, carrying
+     * @p health and the run-queue latency pair (zeros when that family
+     * is off) verbatim.
+     */
+    MetricsSample observe(sim::Tick t, const FamilyCounters &now,
+                          const ebpf::EbpfRuntime &runtime, double share,
+                          AgentHealth &health, std::uint64_t runq_count = 0,
+                          double runq_p99_ns = 0.0);
+
+    /** Drop the accumulating window: the next one starts at @p now. */
+    void reseed(const FamilyCounters &now, const ebpf::EbpfRuntime &runtime,
+                const AgentHealth &health);
+
+    const FamilyCounters &windowStart() const { return start_; }
+    const std::vector<MetricsSample> &samples() const { return samples_; }
+    const RpsEstimator &rps() const { return rps_; }
+    const SaturationDetector &saturation() const { return saturation_; }
+    const SlackEstimator &slackEstimator() const { return slack_; }
+
+    /** Window start and estimators, plus @p health. */
+    AgentCheckpoint checkpoint(const AgentHealth &health) const;
+
+    /**
+     * Resume from @p ckpt on a fresh @p runtime, whose loss counters
+     * restart at zero: the checkpointed loss totals become base offsets
+     * of every later stamp, and @p health is stamped now.
+     */
+    void restore(const AgentCheckpoint &ckpt,
+                 const ebpf::EbpfRuntime &runtime, AgentHealth &health);
+
+  private:
+    /** Loss counters of the send, recv, poll-enter and poll-exit
+     *  programs, in that order. */
+    using LossSnaps = std::array<LossSnap, 4>;
+    static LossSnaps familySnap(const ebpf::EbpfRuntime &runtime,
+                                const AgentHealth &health);
+    void stampLoss(const ebpf::EbpfRuntime &runtime,
+                   AgentHealth &health) const;
+
+    bool lossAware_;
+    FamilyCounters start_;
+    LossSnaps lossStart_{};
+    /** Loss totals of earlier incarnations (restore()). */
+    AgentHealth carried_;
+    RpsEstimator rps_;
+    SaturationDetector saturation_;
+    SlackEstimator slack_;
+    std::vector<MetricsSample> samples_;
 };
 
 /** See file comment. */
@@ -194,18 +278,29 @@ class ObservabilityAgent
     bool running() const { return running_; }
 
     /** @name Live estimates. @{ */
-    const RpsEstimator &rps() const { return rpsEstimator_; }
-    const SaturationDetector &saturation() const { return saturation_; }
-    const SlackEstimator &slackEstimator() const { return slack_; }
+    const RpsEstimator &rps() const { return metrics_.rps(); }
+    const SaturationDetector &saturation() const
+    {
+        return metrics_.saturation();
+    }
+    const SlackEstimator &slackEstimator() const
+    {
+        return metrics_.slackEstimator();
+    }
     /** @} */
 
     /** All emitted samples. */
-    const std::vector<MetricsSample> &samples() const { return samples_; }
+    const std::vector<MetricsSample> &samples() const
+    {
+        return metrics_.samples();
+    }
 
     /** Live pipeline self-diagnostics. */
     const AgentHealth &health() const { return health_; }
 
     /** @name Whole-run aggregates from the cumulative kernel counters. @{ */
+    /** The three families' cumulative counters as the maps hold them. */
+    FamilyCounters counters() const;
     double overallObservedRps() const;
     double overallSendVariance() const;
     double overallRecvVariance() const;
@@ -262,37 +357,8 @@ class ObservabilityAgent
     AgentHealth health_;
     unsigned backoff_ = 1; ///< current samplePeriod multiplier
 
-    /** Snapshot at the start of the currently-accumulating window. */
-    ebpf::probes::SyscallStats sendSnap_{};
-    ebpf::probes::SyscallStats recvSnap_{};
-    ebpf::probes::SyscallStats pollSnap_{};
-
     bool tearNextWindow_ = false;
-    /** Checkpointed loss totals carried across a restart; this
-     *  runtime's own counters restart at zero. */
-    std::uint64_t baseMapUpdateFails_ = 0;
-    std::uint64_t baseRingbufDrops_ = 0;
-    std::uint64_t baseProbeMisses_ = 0;
-    /** One program's loss counters at the start of the current window. */
-    struct LossSnap
-    {
-        std::uint64_t loss = 0;   ///< misses + map fails + ringbuf drops
-        std::uint64_t misses = 0; ///< pre-filter missed runs
-        std::uint64_t runs = 0;   ///< completed runs (every syscall)
-    };
-    LossSnap lossSendSnap_;
-    LossSnap lossRecvSnap_;
-    LossSnap lossPollEnterSnap_;
-    LossSnap lossPollExitSnap_;
-    LossSnap familySnap(bool attached, const char *name) const;
-    static std::uint64_t lostEvents(const LossSnap &now,
-                                    const LossSnap &snap,
-                                    std::uint64_t window_count);
-
-    RpsEstimator rpsEstimator_;
-    SaturationDetector saturation_;
-    SlackEstimator slack_;
-    std::vector<MetricsSample> samples_;
+    TenantMetrics metrics_;
     /** Teardown guard; last member so it outlives everything above. */
     std::shared_ptr<bool> alive_;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "client/fleet_generator.hh"
+#include "client/load_generator.hh"
 #include "core/parallel.hh"
 #include "core/profile.hh"
 #include "sim/logging.hh"
@@ -142,7 +142,7 @@ runClusterExperiment(const ClusterExperimentConfig &config)
     }
 
     // One load-balanced client population per tenant.
-    std::vector<std::unique_ptr<client::FleetLoadGenerator>> gens;
+    std::vector<std::unique_ptr<client::LoadGenerator>> gens;
     gens.reserve(config.tenants.size());
     sim::Tick max_qos = 0;
     double max_offered_seconds = 0.0;
@@ -163,7 +163,7 @@ runClusterExperiment(const ClusterExperimentConfig &config)
         max_offered_seconds =
             std::max(max_offered_seconds,
                      static_cast<double>(spec.requests) / spec.offeredRps);
-        gens.push_back(std::make_unique<client::FleetLoadGenerator>(
+        gens.push_back(std::make_unique<client::LoadGenerator>(
             sim, std::move(backends), config.netem, config.tcp, cc,
             config.lbPolicy));
     }
@@ -174,7 +174,7 @@ runClusterExperiment(const ClusterExperimentConfig &config)
     double min_load_factor = 1.0;
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
         const ClusterTenantSpec &spec = config.tenants[t];
-        client::FleetLoadGenerator *gen = gens[t].get();
+        client::LoadGenerator *gen = gens[t].get();
         for (const LoadPhase &phase : spec.loadProfile) {
             min_load_factor = std::min(min_load_factor, phase.factor);
             const double rps = spec.offeredRps * phase.factor;
@@ -281,7 +281,7 @@ runClusterExperiment(const ClusterExperimentConfig &config)
 
     ClusterExperimentResult out;
     for (std::size_t t = 0; t < config.tenants.size(); ++t) {
-        const client::FleetLoadGenerator &gen = *gens[t];
+        const client::LoadGenerator &gen = *gens[t];
         ClusterTenantResult tr;
         tr.name = config.tenants[t].workload.name;
         tr.offeredRps = config.tenants[t].offeredRps;

@@ -11,7 +11,7 @@
  * the loss-aware reconstructed windows) and drives three actuators —
  *
  *  1. admission control: per-tenant shed probability at the client's
- *     admission gate (FleetLoadGenerator::setAdmission) when the
+ *     admission gate (client::LoadGenerator::setAdmission) when the
  *     tenant's send-variance ratio crosses the Fig. 3 knee;
  *  2. tenant migration: drain a machine at the per-tenant load
  *     balancers when its epoll-slack collapses, routing new requests to

@@ -60,6 +60,50 @@ rpsFromWindow(const DeltaWindow &window)
     return 1e9 / window.meanNs; // Eq. 1
 }
 
+std::uint64_t
+lostEvents(const LossSnap &now, const LossSnap &snap,
+           std::uint64_t window_count, double share)
+{
+    const std::uint64_t d_inprog =
+        (now.loss - now.misses) - (snap.loss - snap.misses);
+    const std::uint64_t d_miss = now.misses - snap.misses;
+    const std::uint64_t d_runs = now.runs - snap.runs;
+    std::uint64_t est = static_cast<std::uint64_t>(
+        static_cast<double>(d_inprog) * share + 0.5);
+    if (d_miss > 0 && d_runs > 0)
+        est += (window_count * d_miss + d_runs / 2) / d_runs;
+    return est;
+}
+
+namespace {
+
+/** Eq. 1 over run totals: 1e9 · count / Σdelta, 0 when empty. */
+double
+rpsOverTotals(double count, double sum_ns)
+{
+    if (count == 0.0 || sum_ns <= 0.0)
+        return 0.0;
+    return 1e9 * count / sum_ns;
+}
+
+} // namespace
+
+double
+wholeRunRps(const ebpf::probes::SyscallStats &cumulative)
+{
+    return rpsOverTotals(static_cast<double>(cumulative.count),
+                         static_cast<double>(cumulative.sumNs));
+}
+
+double
+wholeRunMeanNs(const ebpf::probes::SyscallStats &cumulative)
+{
+    if (cumulative.count == 0)
+        return 0.0;
+    return static_cast<double>(cumulative.sumNs) /
+           static_cast<double>(cumulative.count);
+}
+
 void
 RpsEstimator::observe(const DeltaWindow &window)
 {
@@ -74,9 +118,7 @@ RpsEstimator::observe(const DeltaWindow &window)
 double
 RpsEstimator::overallRps() const
 {
-    if (totalCount_ == 0 || totalSumNs_ <= 0.0)
-        return 0.0;
-    return 1e9 * static_cast<double>(totalCount_) / totalSumNs_;
+    return rpsOverTotals(static_cast<double>(totalCount_), totalSumNs_);
 }
 
 // ------------------------------------------------------ SaturationDetector

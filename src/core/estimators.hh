@@ -70,6 +70,47 @@ DeltaWindow correctForLoss(const DeltaWindow &window,
                            std::uint64_t lost_events);
 
 /**
+ * One probe program's cumulative loss counters, as EbpfRuntime exports
+ * them per program.
+ */
+struct LossSnap
+{
+    std::uint64_t loss = 0;   ///< misses + map fails + ringbuf drops
+    std::uint64_t misses = 0; ///< pre-filter missed runs
+    std::uint64_t runs = 0;   ///< completed runs (every syscall)
+};
+
+/**
+ * Family events one program lost between its loss snapshots @p snap and
+ * @p now, over a window that recorded @p window_count events.
+ *
+ * In-program losses (failed map updates, ring-buffer drops) happen
+ * after the bytecode's syscall-id filter, so they are absolute counts of
+ * lost family events; a program shared by several tenants counts them
+ * program-wide, and each tenant claims @p share of them (its fraction
+ * of the tick's fresh events). A single tenant passes share = 1.0:
+ * d · 1.0 + 0.5 is exact in a double for every d below 2^52, so the
+ * rounding returns the integer count unchanged.
+ *
+ * Missed runs happen before the program (and its filter) ever executes,
+ * across every syscall the tracepoint fires for, so only the family's
+ * share of arrivals was really lost: the misses are scaled by the
+ * window's recorded-events-per-run ratio (misses strike independently
+ * of syscall type).
+ */
+std::uint64_t lostEvents(const LossSnap &now, const LossSnap &snap,
+                         std::uint64_t window_count, double share);
+
+/**
+ * Eq. 1 over a whole run's cumulative counters: 1e9 · count / Σdelta.
+ * 0 when nothing was recorded.
+ */
+double wholeRunRps(const ebpf::probes::SyscallStats &cumulative);
+
+/** Mean of a duration family's cumulative counters (ns); 0 when empty. */
+double wholeRunMeanNs(const ebpf::probes::SyscallStats &cumulative);
+
+/**
  * Throughput estimator: keeps the most recent window and a cumulative
  * aggregate so callers can query both an instantaneous and a whole-run
  * RPS_obsv.

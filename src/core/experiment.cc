@@ -239,10 +239,6 @@ parallelJobsFromEnv()
 
     const char *name = "REQOBS_JOBS";
     const char *env = std::getenv(name);
-    if (!env) {
-        name = "REQOBS_THREADS";
-        env = std::getenv(name);
-    }
     if (!env || *env == '\0')
         return 0;
     // strtoul quietly accepts signs (wrapping negatives) and trailing
@@ -306,14 +302,6 @@ runSweepParallel(const ExperimentConfig &base,
         out.push_back(std::move(p));
     }
     return out;
-}
-
-std::vector<SweepPoint>
-runLoadSweep(const ExperimentConfig &base,
-             const std::vector<double> &load_fractions)
-{
-    return runSweepParallel(base, load_fractions, SweepScaling{},
-                            /*threads=*/1);
 }
 
 } // namespace reqobs::core

@@ -186,8 +186,7 @@ ExperimentConfig sweepPointConfig(const ExperimentConfig &base,
  * bit-identical to a serial runExperiment() call: every experiment owns
  * its entire simulation, so parallelism changes wall time only.
  *
- * @param threads Worker count; 0 = the REQOBS_JOBS env var (canonical;
- *        REQOBS_THREADS is accepted as a legacy alias) if set, else
+ * @param threads Worker count; 0 = the REQOBS_JOBS env var if set, else
  *        hardware concurrency. Clamped to [1, configs.size()];
  *        1 runs serially on the calling thread, and so does a call
  *        made from inside a job of another parallel batch.
@@ -197,10 +196,9 @@ runExperimentsParallel(const std::vector<ExperimentConfig> &configs,
                        unsigned threads = 0);
 
 /**
- * Worker count requested via the environment: REQOBS_JOBS (canonical),
- * falling back to the legacy REQOBS_THREADS. Returns 0 when neither is
- * set or the value is not a plain unsigned integer (rejected with a
- * one-line stderr warning); values above a sane ceiling clamp.
+ * Worker count requested via the REQOBS_JOBS environment variable.
+ * Returns 0 when it is unset or not a plain unsigned integer (rejected
+ * with a one-line stderr warning); values above a sane ceiling clamp.
  * Exposed for tests.
  */
 unsigned parallelJobsFromEnv();
@@ -223,16 +221,6 @@ std::vector<SweepPoint>
 runSweepParallel(const ExperimentConfig &base,
                  const std::vector<double> &load_fractions,
                  const SweepScaling &scaling = {}, unsigned threads = 0);
-
-/**
- * Sweep offered load across @p load_fractions of the workload's
- * saturation RPS, reusing @p base for every other knob. Request counts
- * scale with the rate so each point sees enough syscalls.
- * Serial wrapper kept for compatibility; runs through runSweepParallel
- * with a single thread.
- */
-std::vector<SweepPoint> runLoadSweep(const ExperimentConfig &base,
-                                     const std::vector<double> &load_fractions);
 
 } // namespace reqobs::core
 

@@ -304,50 +304,43 @@ Supervisor::snapStats(const char *map_name) const
     return s;
 }
 
+FamilyCounters
+Supervisor::counters() const
+{
+    if (agent_)
+        return agent_->counters();
+    return {snapStats("send.stats"), snapStats("recv.stats"),
+            snapStats("poll.stats")};
+}
+
 double
 Supervisor::overallObservedRps() const
 {
-    if (agent_)
-        return agent_->overallObservedRps();
-    const SyscallStats s = snapStats("send.stats");
-    if (s.count == 0 || s.sumNs == 0)
-        return 0.0;
-    return 1e9 * static_cast<double>(s.count) / static_cast<double>(s.sumNs);
+    return wholeRunRps(counters().send);
 }
 
 double
 Supervisor::overallSendVariance() const
 {
-    if (agent_)
-        return agent_->overallSendVariance();
-    return diffStats(SyscallStats{}, snapStats("send.stats")).varianceNs2;
+    return diffStats(SyscallStats{}, counters().send).varianceNs2;
 }
 
 double
 Supervisor::overallRecvVariance() const
 {
-    if (agent_)
-        return agent_->overallRecvVariance();
-    return diffStats(SyscallStats{}, snapStats("recv.stats")).varianceNs2;
+    return diffStats(SyscallStats{}, counters().recv).varianceNs2;
 }
 
 double
 Supervisor::overallPollMeanDurationNs() const
 {
-    if (agent_)
-        return agent_->overallPollMeanDurationNs();
-    const SyscallStats s = snapStats("poll.stats");
-    if (s.count == 0)
-        return 0.0;
-    return static_cast<double>(s.sumNs) / static_cast<double>(s.count);
+    return wholeRunMeanNs(counters().poll);
 }
 
 std::uint64_t
 Supervisor::sendSyscalls() const
 {
-    if (agent_)
-        return agent_->sendSyscalls();
-    return snapStats("send.stats").count;
+    return counters().send.count;
 }
 
 std::uint64_t

@@ -120,6 +120,8 @@ class Supervisor
 
     /** @name Whole-run aggregates, robust to a dead agent (they fall
      *  back to the last map snapshot). Semantics match the agent's. @{ */
+    /** The live agent's cumulative counters, else the snapshot's. */
+    FamilyCounters counters() const;
     double overallObservedRps() const;
     double overallSendVariance() const;
     double overallRecvVariance() const;

@@ -1,16 +1,12 @@
 /**
  * @file
- * Per-tenant metric chains and the multi-tenant observability agent.
- *
- * TenantMetrics is the estimator stage of ObservabilityAgent factored
- * out per tenant: one RpsEstimator + SaturationDetector + SlackEstimator
- * fed windowed differences of one tenant's cumulative counters. The
- * estimators themselves are reused unchanged from core/estimators.
+ * The multi-tenant observability agent.
  *
  * MultiTenantAgent is the machine-level sampler: it attaches ONE probe
  * set per machine — tenant-scoped bytecode from ebpf/probes (tgid-match
  * prologue, per-tenant stats-map slots) — and on each sample tick
- * differences every tenant's slot into that tenant's TenantMetrics. All
+ * closes every fresh tenant's window in that tenant's TenantMetrics
+ * (core/agent.hh), the same window stage ObservabilityAgent runs. All
  * attribution happens inside the verified bytecode; userspace only ever
  * reads per-slot counters.
  */
@@ -24,47 +20,12 @@
 #include <vector>
 
 #include "core/agent.hh"
-#include "core/estimators.hh"
 #include "core/profile.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
 #include "kernel/kernel.hh"
 
 namespace reqobs::core {
-
-/** One tenant's estimator chain; see file comment. */
-class TenantMetrics
-{
-  public:
-    explicit TenantMetrics(const AgentConfig &config = {});
-
-    /**
-     * Feed one window (already differenced, loss-corrected by the
-     * caller when enabled). Mirrors the estimator update step of
-     * ObservabilityAgent::takeSample() and returns the emitted sample;
-     * @p health is stamped onto it so consumers can tell a quiet
-     * tenant from a sick pipeline. The trailing runqlat pair is this
-     * tenant's windowed run-queue latency (zeros when the family is
-     * off), carried through verbatim.
-     */
-    MetricsSample observe(sim::Tick t, const DeltaWindow &send,
-                          const DeltaWindow &recv, std::uint64_t poll_count,
-                          double poll_mean_dur_ns,
-                          const AgentHealth &health = {},
-                          std::uint64_t runq_count = 0,
-                          double runq_p99_ns = 0.0);
-
-    const std::vector<MetricsSample> &samples() const { return samples_; }
-    const RpsEstimator &rps() const { return rps_; }
-    const SaturationDetector &saturation() const { return saturation_; }
-    const SlackEstimator &slackEstimator() const { return slack_; }
-
-  private:
-    RpsEstimator rps_;
-    SaturationDetector saturation_;
-    SlackEstimator slack_;
-    std::vector<MetricsSample> samples_;
-};
 
 /** Probe bindings for one tenant on a machine. */
 struct TenantBinding
@@ -139,36 +100,8 @@ class MultiTenantAgent
     sim::EventId sampleTimer_;
     AgentHealth health_;
 
-    /** Per-tenant snapshots at the start of the accumulating window. */
-    std::vector<ebpf::probes::SyscallStats> sendSnap_;
-    std::vector<ebpf::probes::SyscallStats> recvSnap_;
-    std::vector<ebpf::probes::SyscallStats> pollSnap_;
     /** Per-tenant cumulative runqlat histogram at window start. */
     std::vector<std::vector<std::uint64_t>> runqSnap_;
-
-    /** Loss-aware reconstruction (mirrors ObservabilityAgent): one
-     *  program's loss counters at the start of a tenant's window. */
-    struct LossSnap
-    {
-        std::uint64_t loss = 0;   ///< misses + map fails + ringbuf drops
-        std::uint64_t misses = 0; ///< pre-filter missed runs
-        std::uint64_t runs = 0;   ///< completed runs (every syscall)
-    };
-    std::vector<LossSnap> lossSendSnap_;
-    std::vector<LossSnap> lossRecvSnap_;
-    std::vector<LossSnap> lossPollEnterSnap_;
-    std::vector<LossSnap> lossPollExitSnap_;
-    LossSnap familySnap(const char *name) const;
-    /**
-     * Events lost over a tenant's window. Misses are prorated by the
-     * tenant's recorded-events-per-run ratio as in the single-tenant
-     * agent; in-program losses (shared across tenants) are prorated by
-     * @p share, the tenant's fraction of this tick's fresh events.
-     */
-    static std::uint64_t lostEvents(const LossSnap &now,
-                                    const LossSnap &snap,
-                                    std::uint64_t window_count,
-                                    double share);
 
     /** Teardown guard; last member so it outlives everything above. */
     std::shared_ptr<bool> alive_;

@@ -1,12 +1,14 @@
 /**
  * @file
  * Load-generator tests: open-loop Poisson arrivals, latency recording
- * through the impaired loopback, QoS detection and chunked responses.
+ * through the impaired loopback, QoS detection, chunked responses and
+ * connection resets.
  */
 
 #include <gtest/gtest.h>
 
 #include "client/load_generator.hh"
+#include "fault/fault.hh"
 #include "kernel/kernel.hh"
 #include "sim/simulation.hh"
 #include "workload/server_app.hh"
@@ -133,6 +135,35 @@ TEST(LoadGeneratorTest, ChunkedResponsesCountOnceAtLastChunk)
     EXPECT_EQ(gen.sent(), 400u);
     EXPECT_GT(gen.completed(), 380u);
     EXPECT_LE(gen.completed(), 400u);
+}
+
+TEST(LoadGeneratorTest, ConnResetNeverReachesTheBalancer)
+{
+    // Half the sends die in a connection reset: they spend the arrival
+    // budget and count as sent, but never complete and never enter the
+    // balancer's inflight accounting.
+    Rig rig;
+    fault::FaultPlan plan;
+    plan.connResetProbability = 0.5;
+    fault::FaultInjector inj(plan, rig.sim.forkRng());
+    ClientConfig cc;
+    cc.offeredRps = 1000.0;
+    cc.maxRequests = 1000;
+    cc.warmup = 0;
+    LoadGenerator gen(rig.sim, rig.app, net::NetemConfig{}, net::TcpConfig{},
+                      cc, &inj);
+    rig.app.start();
+    gen.start();
+    rig.sim.runFor(sim::seconds(3));
+
+    const std::uint64_t resets = inj.counts().connResets;
+    EXPECT_EQ(gen.arrivals(), cc.maxRequests);
+    EXPECT_EQ(gen.sent(), gen.arrivals());
+    EXPECT_GT(resets, 400u);
+    EXPECT_LT(resets, 600u);
+    EXPECT_EQ(gen.balancer().dispatched(0), gen.sent() - resets);
+    EXPECT_EQ(gen.completed(), gen.balancer().dispatched(0));
+    EXPECT_EQ(gen.balancer().inflight(0), 0u);
 }
 
 TEST(LoadGeneratorTest, StopHaltsArrivals)

@@ -2,9 +2,9 @@
  * @file
  * Fleet-layer tests: tenant-scoped probe bytecode (verified tgid
  * attribution), the load balancer, fleet sample aggregation, the
- * cluster experiment harness (including its degenerate single-machine
- * equivalence with runExperiment), and cluster sweeps on the worker
- * pool.
+ * multi-tenant agent's loss reporting, the cluster experiment harness
+ * (including its degenerate single-machine equivalence with
+ * runExperiment), and cluster sweeps on the worker pool.
  */
 
 #include <gtest/gtest.h>
@@ -12,14 +12,17 @@
 #include <string>
 #include <vector>
 
+#include "client/load_generator.hh"
 #include "cluster_bytes.hh"
 #include "core/cluster.hh"
 #include "core/parallel.hh"
 #include "ebpf/probes.hh"
 #include "ebpf/runtime.hh"
+#include "fault/fault.hh"
 #include "kernel/kernel.hh"
 #include "net/load_balancer.hh"
 #include "sim/simulation.hh"
+#include "workload/machine.hh"
 
 namespace reqobs {
 namespace {
@@ -230,6 +233,48 @@ TEST(FleetAggregatorTest, LatestSampleWinsWithinBucket)
 
 // ---------------------------------------------------------------------
 // Cluster harness.
+
+TEST(MultiTenantAgentTest, StampsProbeLossOnEveryWindow)
+{
+    // Missed probe runs must reach every emitted sample's health whether
+    // or not the loss-aware correction is on: FleetController's
+    // staleness guard reads degraded() off the latest sample.
+    sim::Simulation sim(5);
+    workload::Machine machine(sim);
+    const auto wl = workload::workloadByName("img-dnn");
+    workload::ServerApp &app = machine.addTenant(wl);
+    client::ClientConfig cc;
+    cc.offeredRps = 0.5 * wl.saturationRps;
+    cc.warmup = 0;
+    client::LoadGenerator gen(sim, app, net::NetemConfig{}, net::TcpConfig{},
+                              cc);
+    fault::FaultPlan plan;
+    plan.probeMissProbability = 0.05;
+    fault::FaultInjector inj(plan, sim.forkRng());
+    core::AgentConfig ac;
+    ASSERT_FALSE(ac.lossAware);
+    core::MultiTenantAgent agent(
+        machine.kernel(), {{wl.name, app.frontPid(), core::profileFor(wl)}},
+        ac);
+    agent.runtime().setFaultInjector(&inj);
+    machine.start();
+    agent.start();
+    gen.start();
+    sim.runFor(sim::seconds(2));
+
+    const std::vector<core::MetricsSample> &samples =
+        agent.tenant(0).samples();
+    ASSERT_FALSE(samples.empty());
+    std::uint64_t prev = 0;
+    for (const core::MetricsSample &s : samples) {
+        EXPECT_TRUE(s.health.degraded());
+        EXPECT_GT(s.health.probeMisses, prev);
+        prev = s.health.probeMisses;
+    }
+    EXPECT_EQ(agent.health().probeMisses, prev);
+    EXPECT_LE(prev, agent.runtime().probeMisses());
+    EXPECT_EQ(agent.health().lossCorrectedEvents, 0u);
+}
 
 TEST(ClusterExperimentTest, DegenerateCaseMatchesRunExperimentExactly)
 {

@@ -99,6 +99,54 @@ TEST(RpsEstimatorTest, EqOneOnWindows)
     EXPECT_EQ(est.windows(), 2u);
 }
 
+TEST(LostEventsTest, ShareOneRestoresTheExactInProgramLoss)
+{
+    // The single-agent path: one tenant owns the whole program, so it
+    // claims share 1.0 of the in-program loss and gets the integer back
+    // exactly, up to 2^52 - 1.
+    const LossSnap snap{100, 40, 1000};
+    for (std::uint64_t d : {std::uint64_t{0}, std::uint64_t{1},
+                            std::uint64_t{7}, std::uint64_t{123456789},
+                            (std::uint64_t{1} << 52) - 1}) {
+        SCOPED_TRACE(d);
+        const LossSnap now{snap.loss + d, snap.misses, snap.runs + 4000};
+        EXPECT_EQ(lostEvents(now, snap, 500, 1.0), d);
+        // Ten missed runs in 4000 runs, 500 of them this family's:
+        // (500 * 10 + 2000) / 4000 = 1 more lost event.
+        const LossSnap missed{now.loss + 10, now.misses + 10, now.runs};
+        EXPECT_EQ(lostEvents(missed, snap, 500, 1.0), d + 1);
+    }
+}
+
+TEST(LostEventsTest, TenantSharesOfOneProgramSumToItsLoss)
+{
+    // Tenants sharing one program split its in-program loss by their
+    // share of the tick's fresh events; each share rounds to the nearest
+    // event, so the parts sum to the total within half an event each.
+    const LossSnap snap{};
+    for (std::uint64_t total : {std::uint64_t{1}, std::uint64_t{997},
+                                std::uint64_t{1000003}}) {
+        for (const std::vector<std::uint64_t> &fresh :
+             {std::vector<std::uint64_t>{5003, 2999, 1998},
+              std::vector<std::uint64_t>{1, 1, 1, 1, 1, 1, 1},
+              std::vector<std::uint64_t>{7, 9000}}) {
+            std::uint64_t all = 0;
+            for (std::uint64_t f : fresh)
+                all += f;
+            const LossSnap now{total, 0, all};
+            std::uint64_t sum = 0;
+            for (std::uint64_t f : fresh)
+                sum += lostEvents(now, snap, f,
+                                  static_cast<double>(f) /
+                                      static_cast<double>(all));
+            EXPECT_LE(std::fabs(static_cast<double>(sum) -
+                                static_cast<double>(total)),
+                      0.5 * static_cast<double>(fresh.size()))
+                << "total " << total << ", " << fresh.size() << " tenants";
+        }
+    }
+}
+
 TEST(SaturationDetectorTest, FlagsOnSustainedCvBlowup)
 {
     SaturationConfig cfg;

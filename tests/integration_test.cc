@@ -231,7 +231,7 @@ TEST(ExperimentTest, DefaultQosScalesWithWorkloadAndNetwork)
 TEST(ExperimentTest, LoadSweepProducesMonotoneThroughputUntilSaturation)
 {
     ExperimentConfig base = miniConfig("data-caching", 0.5);
-    const auto sweep = runLoadSweep(base, {0.3, 0.6, 0.9, 1.2});
+    const auto sweep = runSweepParallel(base, {0.3, 0.6, 0.9, 1.2}, {}, 1);
     ASSERT_EQ(sweep.size(), 4u);
     EXPECT_LT(sweep[0].result.achievedRps, sweep[1].result.achievedRps);
     EXPECT_LT(sweep[1].result.achievedRps, sweep[2].result.achievedRps);

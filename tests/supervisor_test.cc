@@ -326,8 +326,8 @@ TEST(SupervisorTest, JobsEnvParsingRejectsGarbageAndClampsCeiling)
 
     EXPECT_EQ(with_env(nullptr, nullptr), 0u);
     EXPECT_EQ(with_env("12", nullptr), 12u);
-    EXPECT_EQ(with_env(nullptr, "6"), 6u); // legacy alias honoured
-    EXPECT_EQ(with_env("4", "9"), 4u);     // canonical name wins
+    EXPECT_EQ(with_env(nullptr, "6"), 0u); // the old name is ignored
+    EXPECT_EQ(with_env("4", "9"), 4u);
     EXPECT_EQ(with_env("abc", nullptr), 0u);
     EXPECT_EQ(with_env("12abc", nullptr), 0u);
     EXPECT_EQ(with_env("", nullptr), 0u);
