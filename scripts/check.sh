@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge check: Release build + tier-1 tests (library probes on
 # the default native engine, the engine-equality suite against the
-# reference interpreter), the figure-bench and chaos-bench golden hashes
-# and benchmark workload digests, sanitizer build + tier-1 tests, then
+# reference interpreter), the figure-, chaos- and sched-bench golden
+# hashes and benchmark workload digests, sanitizer build + tier-1 tests, then
 # the gated host-perf report (BENCH_perf.json), the gated scale report
 # (BENCH_scale.json: scalar per-event tracepoint dispatch, the path
 # every experiment takes), the closed-loop control report
@@ -114,6 +114,14 @@ for bench in bench_fault_matrix bench_supervisor; do
     "$repo/build-check/bench/$bench" > "$tmp/$bench"
 done
 (cd "$tmp" && sha256sum -c "$repo/scripts/chaos_bench_golden.sha256")
+
+# bench_runqlat is the only bench on the discrete scheduler, whose lone
+# runs let one slice event stand for a chain of quantum boundaries; the
+# figure hashes never reach it. Its stdout (no --json) is pinned the
+# same way and reads the same at REQOBS_JOBS=1 and 4.
+echo "== Sched-bench golden hash =="
+"$repo/build-check/bench/bench_runqlat" > "$tmp/bench_runqlat"
+(cd "$tmp" && sha256sum -c "$repo/scripts/sched_bench_golden.sha256")
 
 # The figure hashes never reach the cluster, discrete-scheduler and
 # front-door paths; the benchmark's four workloads do. Their result

@@ -18,6 +18,17 @@ namespace {
 constexpr double kEpsilon = 1e-3;
 
 /**
+ * Whether k whole slices of per-slice work @p w leave exactly
+ * remaining - k*w (DESIGN.md §15): w is an integer and remaining is
+ * below 2^53, so every step's difference is representable.
+ */
+bool
+exactSlices(double remaining, double w)
+{
+    return w == std::floor(w) && remaining < 9007199254740992.0;
+}
+
+/**
  * REQOBS_SCHED=gps|discrete overrides CpuConfig::sched for every
  * CpuModel constructed in the process (cached once). check.sh uses
  * "gps" to prove the discrete machinery is inert on the default
@@ -184,7 +195,11 @@ CpuModel::setSpeed(double speed)
 double
 CpuModel::servedTicks() const
 {
-    return served_;
+    // The boundaries a lone run has passed have not been folded yet.
+    double served = served_;
+    for (const Core &core : cores_)
+        served += static_cast<double>(slicesPassed(core)) * sliceWork();
+    return served;
 }
 
 // --- GPS engine (fluid sharing; bit-exact with the original) ---
@@ -341,8 +356,16 @@ CpuModel::submitDiscrete(sim::Tick demand, const TaskRef &task,
     nextCore_ = (nextCore_ + 1) % static_cast<unsigned>(cores_.size());
     Core &core = cores_[c];
     core.queue.push_back(std::move(t));
-    if (!core.busy)
+    if (!core.busy) {
         dispatch(c, /*prev_tid=*/0, /*prev_runnable=*/false);
+    } else if (core.loneSlices > 1) {
+        // The first waiter ends the lone run at its next boundary.
+        foldSlices(core, slicesPassed(core));
+        if (core.loneSlices > 1) {
+            core.loneSlices = 1;
+            core.slice.retime(core.sliceStart + config_.quantum);
+        }
+    }
     return id;
 }
 
@@ -351,6 +374,10 @@ CpuModel::advanceCore(Core &core)
 {
     if (!core.busy || core.dispatching)
         return;
+    // A boundary on this tick that has not passed yet is covered by the
+    // partial slice below, whose work for a whole quantum is the same.
+    foldSlices(core, slicesPassed(core));
+    core.loneSlices = 0;
     const sim::Tick now = sim_.now();
     if (now == core.sliceStart)
         return;
@@ -360,6 +387,95 @@ CpuModel::advanceCore(Core &core)
     core.run.remaining -= work;
     served_ += work;
     core.sliceStart = now;
+}
+
+double
+CpuModel::sliceWork() const
+{
+    // advanceCore's elapsed * speed for an elapsed whole quantum.
+    return static_cast<double>(config_.quantum) * config_.speed;
+}
+
+sim::Tick
+CpuModel::sliceTicks(double remaining) const
+{
+    const double ttf = remaining / config_.speed;
+    const double dt =
+        std::min(ttf, static_cast<double>(config_.quantum));
+    return std::max<sim::Tick>(1, static_cast<sim::Tick>(std::ceil(dt)));
+}
+
+std::uint64_t
+CpuModel::countLoneSlices(double remaining) const
+{
+    const double w = sliceWork();
+    // A slice starting with r runs a whole quantum and leaves > epsilon.
+    const auto whole = [&](double r) {
+        return sliceTicks(r) == config_.quantum &&
+               r - std::min(w, r) > kEpsilon;
+    };
+    if (exactSlices(remaining, w)) {
+        // k whole slices leave remaining - k*w, and whole() is monotone
+        // in the work left, so the whole slices are a prefix. Estimate
+        // its length, then settle it with the predicate.
+        const double est = std::ceil((remaining - kEpsilon) / w) - 1.0;
+        std::uint64_t k =
+            est <= 0.0 ? 0
+            : est >= static_cast<double>(kMaxLoneSlices)
+                ? kMaxLoneSlices
+                : static_cast<std::uint64_t>(est);
+        while (k > 0 && !whole(remaining - static_cast<double>(k - 1) * w))
+            --k;
+        while (k < kMaxLoneSlices &&
+               whole(remaining - static_cast<double>(k) * w))
+            ++k;
+        return k;
+    }
+    std::uint64_t k = 0;
+    for (; k < kMaxLoneSlices && whole(remaining); ++k)
+        remaining -= std::min(w, remaining);
+    return k;
+}
+
+void
+CpuModel::foldSlices(Core &core, std::uint64_t k)
+{
+    if (k == 0)
+        return;
+    const double w = sliceWork();
+    double &r = core.run.remaining;
+    if (exactSlices(r, w)) {
+        const double work = static_cast<double>(k) * w;
+        r -= work;
+        served_ += work;
+    } else {
+        for (std::uint64_t i = 0; i < k; ++i) {
+            const double work = std::min(w, r);
+            r -= work;
+            served_ += work;
+        }
+    }
+    core.sliceStart += static_cast<sim::Tick>(k) * config_.quantum;
+    core.loneSlices -= k;
+}
+
+std::uint64_t
+CpuModel::slicesPassed(const Core &core) const
+{
+    if (core.loneSlices == 0)
+        return 0;
+    const sim::Tick d = sim_.now() - core.sliceStart;
+    std::uint64_t k = std::min<std::uint64_t>(
+        core.loneSlices, static_cast<std::uint64_t>(d / config_.quantum));
+    // Tie rule: a lone run's boundaries count as scheduled when the run
+    // started, so one on this very tick has passed only if the running
+    // event was scheduled after that. The last is the slice event
+    // itself and never counts: pending, it has not passed; running, it
+    // is advanceCore's partial slice.
+    if (k > 0 && d == static_cast<sim::Tick>(k) * config_.quantum &&
+        (k == core.loneSlices || core.slice.scheduledAfterRunning()))
+        --k;
+    return k;
 }
 
 void
@@ -427,11 +543,15 @@ CpuModel::startSlice(unsigned c)
 {
     Core &core = cores_[c];
     core.sliceStart = sim_.now();
-    const double ttf = core.run.remaining / config_.speed;
-    const double dt =
-        std::min(ttf, static_cast<double>(config_.quantum));
+    // With no task waiting, the whole slices ahead end in silence: one
+    // event at the last of them stands for all their boundaries, and
+    // that boundary arms the final slice as a ticking core would.
+    core.loneSlices =
+        core.queue.empty() ? countLoneSlices(core.run.remaining) : 0;
     const sim::Tick delay =
-        std::max<sim::Tick>(1, static_cast<sim::Tick>(std::ceil(dt)));
+        core.loneSlices > 0
+            ? static_cast<sim::Tick>(core.loneSlices) * config_.quantum
+            : sliceTicks(core.run.remaining);
     core.slice = sim_.schedule(delay, [this, c] { onSlice(c); });
 }
 
@@ -463,7 +583,7 @@ CpuModel::onSlice(unsigned c)
         dispatch(c, prev, /*prev_runnable=*/true);
         return;
     }
-    // Alone on the core: keep running, no event traffic.
+    // Alone on the core: keep running, no sched event.
     startSlice(c);
 }
 

@@ -18,6 +18,9 @@
  * task placement and quantum-based dispatch. A task that exhausts its
  * quantum is preempted only when another task is waiting on the same
  * core (otherwise it silently keeps the CPU — no spurious events).
+ * A task alone on its core runs *tickless*: one event stands for the
+ * whole slices ahead of it, and a waiter pulls that event back to the
+ * next quantum boundary (lone runs, DESIGN.md §15).
  * Every transition is surfaced through a hook so the Kernel can fire
  * `sched_wakeup` / `sched_wakeup_new` / `sched_switch` tracepoints, and
  * run-queue latency (wakeup-or-preempt to switch-in) becomes a real,
@@ -99,6 +102,13 @@ class CpuModel
 
     /** Opaque job id. */
     using JobId = std::uint64_t;
+
+    /**
+     * Whole slices one lone run may stand for (discrete mode). Its last
+     * boundary starts the next lone run, so the cap bounds the work of
+     * planning one without changing what it does.
+     */
+    static constexpr std::uint64_t kMaxLoneSlices = 1024;
 
     /**
      * Task identity carried by a job so the discrete scheduler can emit
@@ -201,6 +211,12 @@ class CpuModel
         std::deque<Task> queue;
         sim::EventId slice;
         sim::Tick sliceStart = 0;
+        /**
+         * Lone run: the whole slices from sliceStart up to the slice
+         * event, whose other boundaries have no event of their own
+         * (0 = an ordinary slice; at most 1 once a task waits).
+         */
+        std::uint64_t loneSlices = 0;
         bool dispatching = false; ///< switch-in delayed by a sched fault
     };
 
@@ -265,13 +281,26 @@ class CpuModel
     /** @name Discrete engine. @{ */
     JobId submitDiscrete(sim::Tick demand, const TaskRef &task,
                          std::function<void()> on_done);
-    /** Account the running task's progress up to now on one core. */
+    /**
+     * Account the running task's progress up to now on one core and end
+     * any lone run; the caller re-plans the slice.
+     */
     void advanceCore(Core &core);
+    /** Work one whole slice does: quantum * speed. */
+    double sliceWork() const;
+    /** Ticks to the end of a slice that starts with @p remaining work. */
+    sim::Tick sliceTicks(double remaining) const;
+    /** Leading whole slices from @p remaining, at most kMaxLoneSlices. */
+    std::uint64_t countLoneSlices(double remaining) const;
+    /** Fold @p k whole slices of the core's lone run into its state. */
+    void foldSlices(Core &core, std::uint64_t k);
+    /** Whole slices of the core's lone run that ended by now. */
+    std::uint64_t slicesPassed(const Core &core) const;
     /** Pick the next task (or go idle) after prev left core @p c. */
     void dispatch(unsigned c, std::uint32_t prev_tid, bool prev_runnable);
     /** Actually pop + switch in (after any injected sched delay). */
     void switchIn(unsigned c, std::uint32_t prev_tid, bool prev_runnable);
-    /** Schedule the running task's next slice end on core @p c. */
+    /** Schedule the running task's next slice end (or lone run). */
     void startSlice(unsigned c);
     /** Slice-end body: complete, preempt, or continue. */
     void onSlice(unsigned c);

@@ -17,6 +17,19 @@ EventId::cancel()
         queue_->cancelSlot(slot_, gen_);
 }
 
+void
+EventId::retime(Tick when)
+{
+    if (queue_)
+        queue_->retimeSlot(slot_, gen_, when);
+}
+
+bool
+EventId::scheduledAfterRunning() const
+{
+    return queue_ && queue_->slotAfterRunning(slot_, gen_);
+}
+
 std::uint32_t
 EventQueue::prepare(Tick when)
 {
@@ -112,7 +125,10 @@ EventQueue::popAndRun(Tick &now)
     lastPopped_ = top.when;
     now = top.when;
     ++executed_;
+    const std::uint64_t outer = runningSeq_;
+    runningSeq_ = top.seq;
     slab_[top.slot].cb();
+    runningSeq_ = outer;
     release(top.slot);
     return true;
 }
@@ -132,6 +148,27 @@ EventQueue::cancelSlot(std::uint32_t slot, std::uint32_t gen)
     removeAt(pos_[slot]);
     slab_[slot].nextCancelled = cancelled_;
     cancelled_ = slot;
+}
+
+void
+EventQueue::retimeSlot(std::uint32_t slot, std::uint32_t gen, Tick when)
+{
+    if (!slotPending(slot, gen))
+        return;
+    if (when < lastPopped_)
+        panic("EventQueue: retiming into the past (%lld < %lld)",
+              (long long)when, (long long)lastPopped_);
+    HeapEntry e = heap_[pos_[slot]];
+    e.when = when;
+    removeAt(pos_[slot]);
+    heap_.emplace_back();
+    siftUp(heap_.size() - 1, e);
+}
+
+bool
+EventQueue::slotAfterRunning(std::uint32_t slot, std::uint32_t gen) const
+{
+    return slotPending(slot, gen) && runningSeq_ < heap_[pos_[slot]].seq;
 }
 
 } // namespace reqobs::sim

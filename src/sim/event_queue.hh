@@ -18,6 +18,13 @@
  * heap only ever holds live events. A cancelled slot's captures are
  * destroyed at the start of the next popAndRun(), never inside the
  * canceller's frame, and cancel() allocates nothing.
+ *
+ * Two calls serve timers that stand for a chain of elided events (the
+ * CPU model's lone runs, DESIGN.md §15): EventId::retime() moves a
+ * pending event to another tick and keeps its seq, so it keeps its
+ * place among same-tick events scheduled before and after it, and
+ * EventId::scheduledAfterRunning() tells whether the event now running
+ * precedes a pending one in the tie order.
  */
 
 #ifndef REQOBS_SIM_EVENT_QUEUE_HH
@@ -102,6 +109,22 @@ class EventId
 
     /** Cancel the event if still pending; harmless otherwise. */
     void cancel();
+
+    /**
+     * Move the event to tick @p when if still pending; harmless
+     * otherwise (also on its own handle inside its callback). The event
+     * keeps its seq: on its new tick it runs after the events scheduled
+     * before it and ahead of those scheduled after it.
+     * @pre when >= the tick of the last popped event (panics otherwise).
+     */
+    void retime(Tick when);
+
+    /**
+     * True if the event is pending and the callback now running was
+     * scheduled before it, so on a shared tick the running one goes
+     * first. False outside any callback.
+     */
+    bool scheduledAfterRunning() const;
 
   private:
     friend class EventQueue;
@@ -195,6 +218,8 @@ class EventQueue
     static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
     /** End of the cancelled list. */
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    /** runningSeq_ outside any callback: after every real seq. */
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
     std::deque<State> slab_;
     std::vector<std::uint32_t> free_;
@@ -209,6 +234,8 @@ class EventQueue
     /** Heap index of each slot's entry, or kNotQueued. */
     std::vector<std::uint32_t> pos_;
     std::uint64_t nextSeq_ = 0;
+    /** Seq of the event whose callback is running, or kNoSeq. */
+    std::uint64_t runningSeq_ = kNoSeq;
     std::uint64_t executed_ = 0;
     Tick lastPopped_ = 0;
 
@@ -226,6 +253,8 @@ class EventQueue
 
     bool slotPending(std::uint32_t slot, std::uint32_t gen) const;
     void cancelSlot(std::uint32_t slot, std::uint32_t gen);
+    void retimeSlot(std::uint32_t slot, std::uint32_t gen, Tick when);
+    bool slotAfterRunning(std::uint32_t slot, std::uint32_t gen) const;
 };
 
 } // namespace reqobs::sim

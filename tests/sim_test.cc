@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event simulation core: event queue
- * ordering and cancellation, virtual clock semantics, deterministic RNG,
- * and the sampling distributions.
+ * ordering, cancellation and retiming, virtual clock semantics,
+ * deterministic RNG, and the sampling distributions.
  */
 
 #include <gtest/gtest.h>
@@ -175,15 +175,105 @@ TEST(EventQueueTest, StaleHandleToARecycledSlotIsInert)
     EXPECT_EQ(runs, 2);
 }
 
+TEST(EventQueueTest, RetimedEventKeepsItsPlaceAmongSameTickEvents)
+{
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule(10, [&] { order.push_back(0); });
+    EventId earlier = q.schedule(50, [&] { order.push_back(1); });
+    q.schedule(10, [&] { order.push_back(2); });
+    earlier.retime(10); // keeps its seq: after 0, ahead of 2
+    q.schedule(10, [&] { order.push_back(3); });
+    EventId later = q.schedule(5, [&] { order.push_back(5); });
+    q.schedule(60, [&] { order.push_back(6); });
+    later.retime(60); // its seq is older than 6's
+    q.schedule(60, [&] { order.push_back(7); });
+    EXPECT_TRUE(earlier.pending());
+    EXPECT_TRUE(later.pending());
+    EXPECT_EQ(q.size(), 7u);
+    EXPECT_EQ(q.nextTick(), 10);
+    Tick now = 0;
+    while (q.popAndRun(now)) {
+    }
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 5, 6, 7}));
+    EXPECT_EQ(now, 60);
+}
+
+TEST(EventQueueTest, RetimeIsInertOnFiredCancelledDefaultAndRunningHandles)
+{
+    EventQueue q;
+    Tick now = 0;
+    EventId none;
+    none.retime(5);
+    EXPECT_FALSE(none.pending());
+    int runs = 0;
+    EventId fired = q.schedule(1, [&] { ++runs; });
+    EventId cancelled = q.schedule(2, [&] { ++runs; });
+    cancelled.cancel();
+    ASSERT_TRUE(q.popAndRun(now));
+    fired.retime(10);
+    cancelled.retime(10);
+    EXPECT_TRUE(q.empty());
+    // Both slots are recycled; the stale handles must not move the
+    // events that now occupy them.
+    q.schedule(7, [&] { ++runs; });
+    EventId self;
+    self = q.schedule(8, [&] {
+        self.retime(20); // not pending inside its own callback
+        EXPECT_FALSE(self.pending());
+        ++runs;
+    });
+    fired.retime(30);
+    cancelled.retime(30);
+    EXPECT_EQ(q.nextTick(), 7);
+    while (q.popAndRun(now)) {
+    }
+    EXPECT_EQ(runs, 3);
+    EXPECT_EQ(now, 8);
+}
+
+TEST(EventQueueTest, ScheduledAfterRunningFollowsSchedulingOrder)
+{
+    EventQueue q;
+    Tick now = 0;
+    std::vector<bool> seen;
+    EventId older = q.schedule(20, [] {});
+    EventId first;
+    EventId second;
+    first = q.schedule(10, [&] {
+        seen.push_back(older.scheduledAfterRunning());  // false
+        seen.push_back(second.scheduledAfterRunning()); // true
+        const EventId inner = q.schedule(10, [] {});
+        seen.push_back(inner.scheduledAfterRunning());  // true
+        seen.push_back(first.scheduledAfterRunning());  // running: false
+    });
+    second = q.schedule(10, [&] {
+        seen.push_back(first.scheduledAfterRunning());  // fired: false
+        seen.push_back(older.scheduledAfterRunning());  // false
+    });
+    // Outside any callback, before and between pops.
+    EXPECT_FALSE(second.scheduledAfterRunning());
+    ASSERT_TRUE(q.popAndRun(now));
+    EXPECT_FALSE(second.scheduledAfterRunning());
+    EXPECT_FALSE(older.scheduledAfterRunning());
+    while (q.popAndRun(now)) {
+    }
+    EXPECT_EQ(seen,
+              (std::vector<bool>{false, true, true, false, false, false}));
+}
+
 /**
  * Drives an EventQueue and a std::set of pending (tick, seq) keys
- * through the same random schedule/cancel script; the queue must pop
- * exactly the set's minimum every time.
+ * through the same random schedule/cancel script, optionally with
+ * retimes; the queue must pop exactly the set's minimum every time,
+ * and the running-order query must agree with the set's keys.
  */
 class QueueDiff
 {
   public:
-    explicit QueueDiff(std::uint64_t seed) : rng_(seed) {}
+    QueueDiff(std::uint64_t seed, bool retimes)
+        : rng_(seed), retimes_(retimes)
+    {}
 
     void
     run()
@@ -204,11 +294,15 @@ class QueueDiff
         EXPECT_FALSE(q_.popAndRun(now));
         EXPECT_GT(pops_, 1000u);
         EXPECT_GT(cancels_, 200u);
+        if (retimes_) {
+            EXPECT_GT(retimed_, 200u);
+        }
     }
 
   private:
     EventQueue q_;
     Rng rng_;
+    bool retimes_;
     std::set<std::pair<Tick, std::uint64_t>> ref_;
     std::vector<EventId> handles_; ///< by seq
     std::vector<Tick> when_;       ///< by seq
@@ -217,6 +311,7 @@ class QueueDiff
     Tick now_ = 0;
     std::uint64_t pops_ = 0;
     std::uint64_t cancels_ = 0;
+    std::uint64_t retimed_ = 0;
 
     void
     schedule(Tick when)
@@ -235,6 +330,18 @@ class QueueDiff
         handles_[seq].cancel();
     }
 
+    /** Retime by seq; only a pending event moves. */
+    void
+    retime(std::uint64_t seq, Tick when)
+    {
+        if (ref_.erase({when_[seq], seq}) == 1) {
+            ref_.emplace(when, seq);
+            when_[seq] = when;
+            ++retimed_;
+        }
+        handles_[seq].retime(when);
+    }
+
     void
     fire(std::uint64_t seq)
     {
@@ -243,6 +350,10 @@ class QueueDiff
         ++pops_;
         EXPECT_FALSE(handles_[seq].pending());
         handles_[seq].cancel(); // self-cancel is a no-op
+        handles_[seq].retime(now_ + 1); // and so is a self-retime
+        const std::uint64_t k = rng_.uniformInt(handles_.size());
+        EXPECT_EQ(handles_[k].scheduledAfterRunning(),
+                  k > seq && ref_.count({when_[k], k}) == 1);
         mutate(/*in_callback=*/true);
     }
 
@@ -257,6 +368,10 @@ class QueueDiff
         const std::uint64_t n_cancel = rng_.uniformInt(in_callback ? 2 : 3);
         for (std::uint64_t i = 0; i < n_cancel; ++i)
             cancel(rng_.uniformInt(handles_.size()));
+        const std::uint64_t n_retime = retimes_ ? rng_.uniformInt(3) : 0;
+        for (std::uint64_t i = 0; i < n_retime; ++i)
+            retime(rng_.uniformInt(handles_.size()),
+                   now_ + static_cast<Tick>(rng_.uniformInt(4)));
     }
 
     void
@@ -268,6 +383,7 @@ class QueueDiff
                   ref_.empty() ? kTickMax : ref_.begin()->first);
         const std::uint64_t k = rng_.uniformInt(handles_.size());
         EXPECT_EQ(handles_[k].pending(), ref_.count({when_[k], k}) == 1);
+        EXPECT_FALSE(handles_[k].scheduledAfterRunning());
     }
 };
 
@@ -275,7 +391,15 @@ TEST(EventQueueTest, MatchesASetReferenceUnderRandomCancels)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         SCOPED_TRACE(seed);
-        QueueDiff(seed).run();
+        QueueDiff(seed, /*retimes=*/false).run();
+    }
+}
+
+TEST(EventQueueTest, MatchesASetReferenceUnderRandomRetimes)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        QueueDiff(seed, /*retimes=*/true).run();
     }
 }
 
@@ -286,6 +410,16 @@ TEST(EventQueueDeathTest, SchedulingIntoThePastPanics)
     Tick now = 0;
     q.popAndRun(now);
     EXPECT_DEATH(q.schedule(50, [] {}), "past");
+}
+
+TEST(EventQueueDeathTest, RetimingIntoThePastPanics)
+{
+    EventQueue q;
+    q.schedule(100, [] {});
+    EventId later = q.schedule(200, [] {});
+    Tick now = 0;
+    q.popAndRun(now);
+    EXPECT_DEATH(later.retime(50), "past");
 }
 
 // ------------------------------------------------------------ Simulation
