@@ -97,12 +97,12 @@ jsonVerdict(const std::string &part,
             const core::ClusterExperimentResult &open,
             const core::ClusterExperimentResult &closed)
 {
-    // r2 column carries the verdict (1 = expected outcome), the health
-    // column carries the closed loop's peak shed probability.
+    // verdict: 1 = expected outcome; maxShed: the closed loop's peak
+    // shed probability.
     const double verdict =
         (anyViolated(open) && allHeld(closed)) ? 1.0 : 0.0;
-    g_json.add(part, "open-violates+closed-holds", verdict,
-               closed.controller.maxShed);
+    g_json.add(part, "open-violates+closed-holds", "verdict", verdict,
+               "maxShed", closed.controller.maxShed);
 }
 
 /** Diurnal curve with a flash crowd at the daily peak. */

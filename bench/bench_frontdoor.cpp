@@ -184,8 +184,10 @@ partOneStormRank()
           "front-door latency keeps rank with victim p99 (tau >= 2/3)");
     check(tau_door > tau_obs,
           "Eq. 1 loses the rank the front-door signal keeps");
-    g_json.add("storm-rank", "door-tau", tau_door, obs_spread);
-    g_json.add("storm-rank", "eq1-tau", tau_obs, obs_spread);
+    g_json.add("storm-rank", "door-tau", "kendallTau", tau_door,
+               "eq1Spread", obs_spread);
+    g_json.add("storm-rank", "eq1-tau", "kendallTau", tau_obs, "eq1Spread",
+               obs_spread);
 
     std::printf("\nExpected shape: the victim's syscall stream never sees "
                 "the storm (it all\nhappens before accept returns), so "
@@ -352,7 +354,8 @@ partTwoClosedLoop()
           "closed loop accepts (and serves) fewer storm conns");
     const double verdict =
         (open.qosViolated && !closed.qosViolated) ? 1.0 : 0.0;
-    g_json.add("storm-control", "open-violates+closed-holds", verdict,
+    g_json.add("storm-control", "open-violates+closed-holds", "verdict",
+               verdict, "budgetClamps",
                static_cast<double>(closed.ctrl.budgetClamps));
 
     std::printf("\nExpected shape: open loop the four acceptor threads pin "

@@ -166,7 +166,8 @@ partOneDetectionLag()
                     lag_runq < lag_var
                         ? "runqlat"
                         : (lag_runq == lag_var ? "tie" : "variance"));
-        g_json.add("detection", label, lag_runq, lag_var);
+        g_json.add("detection", label, "runqLagMs", lag_runq, "eq2LagMs",
+                   lag_var);
     }
 
     check(runq_never_slower,
@@ -235,12 +236,12 @@ partTwoDisambiguation()
     check(runq_n <= 2.0 * std::max(runq_c, 1.0),
           "runq p99 stays flat under netem (within 2x of clean)");
 
-    g_json.add("disambiguation", "antagonist", runq_a,
-               static_cast<double>(p99_a));
-    g_json.add("disambiguation", "netem", runq_n,
-               static_cast<double>(p99_n));
-    g_json.add("disambiguation", "clean", runq_c,
-               static_cast<double>(p99_c));
+    g_json.add("disambiguation", "antagonist", "runqP99Ns", runq_a,
+               "clientP99Ns", static_cast<double>(p99_a));
+    g_json.add("disambiguation", "netem", "runqP99Ns", runq_n,
+               "clientP99Ns", static_cast<double>(p99_n));
+    g_json.add("disambiguation", "clean", "runqP99Ns", runq_c,
+               "clientP99Ns", static_cast<double>(p99_c));
 
     std::printf("\nExpected shape: the client tail degrades in both "
                 "impaired runs, but run-queue\np99 separates them — "

@@ -218,11 +218,10 @@ struct MatrixTable
 };
 
 /**
- * Accumulator for the benches' optional `--json <path>` emission. Two
- * row layouts share one writer: accuracy+health rows (part, label, r2,
- * degradedFraction) and lifecycle rows with the crash/downtime tail —
- * each row keeps whichever shape it was added with, so a bench mixing
- * neither sees its historical byte-exact output change.
+ * Accumulator for the benches' optional `--json <path>` emission. A row
+ * is (part, label) plus two named values, r2 and degradedFraction
+ * unless the bench names them; lifecycle rows add the crash/downtime
+ * tail.
  */
 class JsonRows
 {
@@ -231,8 +230,16 @@ class JsonRows
     void add(std::string part, std::string label, double r2,
              double degraded_fraction)
     {
-        rows_.push_back({std::move(part), std::move(label), r2,
-                         degraded_fraction, false, 0, 0.0});
+        add(std::move(part), std::move(label), "r2", r2,
+            "degradedFraction", degraded_fraction);
+    }
+
+    /** Row whose two values are stored under @p key_a and @p key_b. */
+    void add(std::string part, std::string label, const char *key_a,
+             double a, const char *key_b, double b)
+    {
+        rows_.push_back({std::move(part), std::move(label), key_a, a, key_b,
+                         b, false, 0, 0.0});
     }
 
     /** Lifecycle row (adds crashes + downtime). */
@@ -240,8 +247,9 @@ class JsonRows
                       double degraded_fraction, std::uint64_t crashes,
                       double downtime_ms)
     {
-        rows_.push_back({std::move(part), std::move(label), r2,
-                         degraded_fraction, true, crashes, downtime_ms});
+        rows_.push_back({std::move(part), std::move(label), "r2", r2,
+                         "degradedFraction", degraded_fraction, true,
+                         crashes, downtime_ms});
     }
 
     std::size_t size() const { return rows_.size(); }
@@ -258,24 +266,17 @@ class JsonRows
         for (std::size_t i = 0; i < rows_.size(); ++i) {
             const Row &r = rows_[i];
             const char *sep = i + 1 < rows_.size() ? "," : "";
+            std::fprintf(f,
+                         "    {\"part\": \"%s\", \"label\": \"%s\", "
+                         "\"%s\": %.6f, \"%s\": %.6f",
+                         r.part.c_str(), r.label.c_str(), r.keyA, r.a,
+                         r.keyB, r.b);
             if (r.lifecycle) {
-                std::fprintf(
-                    f,
-                    "    {\"part\": \"%s\", \"label\": \"%s\", "
-                    "\"r2\": %.6f, "
-                    "\"degradedFraction\": %.6f, \"crashes\": %llu, "
-                    "\"downtimeMs\": %.3f}%s\n",
-                    r.part.c_str(), r.label.c_str(), r.r2,
-                    r.degradedFraction,
-                    static_cast<unsigned long long>(r.crashes),
-                    r.downtimeMs, sep);
-            } else {
-                std::fprintf(f,
-                             "    {\"part\": \"%s\", \"label\": \"%s\", "
-                             "\"r2\": %.6f, \"degradedFraction\": %.6f}%s\n",
-                             r.part.c_str(), r.label.c_str(), r.r2,
-                             r.degradedFraction, sep);
+                std::fprintf(f, ", \"crashes\": %llu, \"downtimeMs\": %.3f",
+                             static_cast<unsigned long long>(r.crashes),
+                             r.downtimeMs);
             }
+            std::fprintf(f, "}%s\n", sep);
         }
         std::fprintf(f, "  ]\n}\n");
         std::fclose(f);
@@ -287,8 +288,10 @@ class JsonRows
     {
         std::string part;
         std::string label;
-        double r2 = 0.0;
-        double degradedFraction = 0.0;
+        const char *keyA = "r2";
+        double a = 0.0;
+        const char *keyB = "degradedFraction";
+        double b = 0.0;
         bool lifecycle = false;
         std::uint64_t crashes = 0;
         double downtimeMs = 0.0;

@@ -2,7 +2,8 @@
 # Full pre-merge check: Release build + tier-1 tests (library probes on
 # the default native engine, the engine-equality suite against the
 # reference interpreter), the figure-, chaos- and sched-bench golden
-# hashes and benchmark workload digests, sanitizer build + tier-1 tests, then
+# hashes and benchmark workload digests, sanitizer build + tier-1 tests +
+# the examples and golden-hashed benches under the sanitizers, then
 # the gated host-perf report (BENCH_perf.json), the gated scale report
 # (BENCH_scale.json: scalar per-event tracepoint dispatch, the path
 # every experiment takes), the closed-loop control report
@@ -92,18 +93,6 @@ for fig in bench_fig1_trace bench_fig2_rps_correlation \
 done
 (cd "$tmp" && sha256sum -c "$repo/scripts/figure_bench_golden.sha256")
 
-# The same hashes must hold with the scheduler override pinned to GPS:
-# REQOBS_SCHED=gps forces the legacy fluid engine regardless of config,
-# proving the env hook and the discrete-dispatch refactor leave the
-# default path untouched down to the byte.
-echo "== Figure-bench golden hashes (REQOBS_SCHED=gps pinned) =="
-for fig in bench_fig1_trace bench_fig2_rps_correlation \
-    bench_fig3_send_variance bench_fig4_epoll_duration \
-    bench_fig5_loss_tail; do
-    REQOBS_SCHED=gps "$repo/build-check/bench/$fig" > "$tmp/$fig"
-done
-(cd "$tmp" && sha256sum -c "$repo/scripts/figure_bench_golden.sha256")
-
 # bench_fault_matrix and bench_supervisor are the only benches that
 # drive connection resets through the client and run the loss-aware and
 # supervised agent paths, which the figure hashes never reach. Their
@@ -162,6 +151,30 @@ if [ "$run_sanitize" = 1 ]; then
     echo "== Sanitizer sched suite =="
     ctest --test-dir "$repo/build-check-asan" --output-on-failure \
         -j "$jobs" -L sched --timeout 300
+
+    # Scheduled callbacks carry no teardown guards: nothing may pump a
+    # simulation once its components start being destroyed (DESIGN.md
+    # §16). That rule binds every program that builds a simulation, and
+    # ctest runs none of the examples or benches, so run the five
+    # examples and the eight golden-hashed benches here too. The build
+    # makes every sanitizer report fatal, so a report is a non-zero exit
+    # and stops the script; the benches must also print the golden bytes.
+    echo "== Sanitizer examples + golden benches =="
+    for ex in quickstart saturation_monitor power_governor blackbox_trace \
+        tracelet; do
+        "$repo/build-check-asan/examples/$ex" > /dev/null
+    done
+    mkdir "$tmp/asan"
+    for bench in bench_fig1_trace bench_fig2_rps_correlation \
+        bench_fig3_send_variance bench_fig4_epoll_duration \
+        bench_fig5_loss_tail bench_fault_matrix bench_supervisor \
+        bench_runqlat; do
+        "$repo/build-check-asan/bench/$bench" > "$tmp/asan/$bench"
+    done
+    (cd "$tmp/asan" &&
+        sha256sum -c "$repo/scripts/figure_bench_golden.sha256" \
+            "$repo/scripts/chaos_bench_golden.sha256" \
+            "$repo/scripts/sched_bench_golden.sha256")
 
     # ThreadSanitizer over the worker pool, the only multi-threaded
     # code: its batch hand-off and thread budget (WorkerPoolTest, perf

@@ -11,8 +11,7 @@ LoadGenerator::LoadGenerator(sim::Simulation &sim,
                              const ClientConfig &config, net::LbPolicy policy,
                              fault::FaultInjector *fault)
     : sim_(sim), config_(config), fault_(fault), rng_(sim.forkRng()),
-      lb_(policy, backends.size()), backendCompleted_(backends.size(), 0),
-      alive_(std::make_shared<bool>(true))
+      lb_(policy, backends.size()), backendCompleted_(backends.size(), 0)
 {
     if (config.offeredRps <= 0.0)
         sim::fatal("LoadGenerator: offered RPS must be positive");
@@ -45,11 +44,6 @@ LoadGenerator::LoadGenerator(sim::Simulation &sim, workload::ServerApp &app,
     : LoadGenerator(sim, {&app}, netem, tcp, config,
                     net::LbPolicy::RoundRobin, fault)
 {}
-
-LoadGenerator::~LoadGenerator()
-{
-    *alive_ = false;
-}
 
 void
 LoadGenerator::start()
@@ -100,10 +94,7 @@ LoadGenerator::scheduleNextArrival()
         arrivalsEnd_ = sim_.now();
         return;
     }
-    auto alive = alive_;
-    sim_.schedule(interArrival_->sample(rng_), [this, alive] {
-        if (!*alive)
-            return;
+    sim_.schedule(interArrival_->sample(rng_), [this] {
         fireRequest();
         scheduleNextArrival();
     });
@@ -132,12 +123,7 @@ LoadGenerator::attemptSend(unsigned attempt)
         const sim::Tick delay = std::min<sim::Tick>(
             retryBackoffCap_,
             std::max<sim::Tick>(1, retryAfter_) << attempt);
-        auto alive = alive_;
-        sim_.schedule(delay, [this, alive, attempt] {
-            if (!*alive)
-                return;
-            attemptSend(attempt + 1);
-        });
+        sim_.schedule(delay, [this, attempt] { attemptSend(attempt + 1); });
         return;
     }
     // Connection reset: the client fired the request but the connection

@@ -65,8 +65,6 @@ class LoadGenerator
                   const ClientConfig &config,
                   fault::FaultInjector *fault = nullptr);
 
-    ~LoadGenerator();
-
     LoadGenerator(const LoadGenerator &) = delete;
     LoadGenerator &operator=(const LoadGenerator &) = delete;
 
@@ -188,7 +186,6 @@ class LoadGenerator
     std::unordered_map<std::uint64_t, Pending> pending_;
 
     stats::LatencyHistogram latencies_;
-    std::shared_ptr<bool> alive_;
 
     void scheduleNextArrival();
     void fireRequest();

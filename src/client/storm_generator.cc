@@ -11,7 +11,7 @@ StormGenerator::StormGenerator(sim::Simulation &sim, net::FrontDoor &door,
                                const net::TcpConfig &tcp,
                                const StormConfig &config)
     : sim_(sim), door_(door), netem_(netem), tcp_(tcp), config_(config),
-      rng_(sim.forkRng()), alive_(std::make_shared<bool>(true))
+      rng_(sim.forkRng())
 {
     if (config.connRps <= 0.0)
         sim::fatal("StormGenerator: connection rate must be positive");
@@ -20,11 +20,6 @@ StormGenerator::StormGenerator(sim::Simulation &sim, net::FrontDoor &door,
     interArrival_ = std::make_unique<sim::ExponentialDist>(
         std::max<sim::Tick>(1,
                             static_cast<sim::Tick>(1e9 / config.connRps)));
-}
-
-StormGenerator::~StormGenerator()
-{
-    *alive_ = false;
 }
 
 void
@@ -52,10 +47,7 @@ StormGenerator::scheduleNextConn()
         running_ = false;
         return;
     }
-    auto alive = alive_;
-    sim_.schedule(interArrival_->sample(rng_), [this, alive] {
-        if (!*alive)
-            return;
+    sim_.schedule(interArrival_->sample(rng_), [this] {
         openConn();
         scheduleNextConn();
     });
@@ -88,19 +80,13 @@ StormGenerator::openConn()
     conn.synAt = sim_.now();
     live_.emplace(key, std::move(conn));
 
-    auto alive = alive_;
     net::ConnectOptions opts;
     opts.sheddable = config_.sheddable;
-    opts.onFailed = [this, alive, key] {
-        if (!*alive)
-            return;
+    opts.onFailed = [this, key] {
         ++failed_;
         live_.erase(key);
     };
-    opts.onEstablished = [this, alive,
-                          key](std::shared_ptr<kernel::Socket> sock) {
-        if (!*alive)
-            return;
+    opts.onEstablished = [this, key](std::shared_ptr<kernel::Socket> sock) {
         auto it = live_.find(key);
         if (it == live_.end())
             return;
@@ -111,9 +97,7 @@ StormGenerator::openConn()
         req.created = sim_.now();
         it->second.link = std::make_unique<net::Link>(
             sim_, netem_, tcp_, std::move(sock),
-            [this, alive, key](kernel::Message &&) {
-                if (!*alive)
-                    return;
+            [this, key](kernel::Message &&) {
                 auto it2 = live_.find(key);
                 if (it2 == live_.end())
                     return;
@@ -123,10 +107,7 @@ StormGenerator::openConn()
                         sim_.now() - it2->second.synAt));
                 // The Link is mid-delivery right now; tear the
                 // connection down on the next event instead.
-                sim_.schedule(0, [this, alive, key] {
-                    if (*alive)
-                        live_.erase(key);
-                });
+                sim_.schedule(0, [this, key] { live_.erase(key); });
             });
         it->second.link->sendRequest(std::move(req));
     };

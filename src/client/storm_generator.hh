@@ -58,8 +58,6 @@ class StormGenerator
                    const net::NetemConfig &netem, const net::TcpConfig &tcp,
                    const StormConfig &config);
 
-    ~StormGenerator();
-
     StormGenerator(const StormGenerator &) = delete;
     StormGenerator &operator=(const StormGenerator &) = delete;
 
@@ -93,6 +91,8 @@ class StormGenerator
     struct Conn
     {
         sim::Tick synAt = 0;
+        /** Erased mid-run when the connection ends; its TcpPipes drop
+         *  their own in-flight deliveries (DESIGN.md §16). */
         std::unique_ptr<net::Link> link;
     };
 
@@ -115,7 +115,6 @@ class StormGenerator
     std::uint64_t nextKey_ = 1;
     std::unordered_map<std::uint64_t, Conn> live_;
     stats::LatencyHistogram latencies_;
-    std::shared_ptr<bool> alive_;
 
     void scheduleNextConn();
     void openConn();

@@ -145,16 +145,12 @@ ObservabilityAgent::ObservabilityAgent(kernel::Kernel &kernel,
                                        const SyscallProfile &profile,
                                        const AgentConfig &config)
     : kernel_(kernel), tgid_(tgid), profile_(profile), config_(config),
-      metrics_(config), alive_(std::make_shared<bool>(true))
+      metrics_(config)
 {
     runtime_ = std::make_unique<ebpf::EbpfRuntime>(kernel, config.runtime);
 }
 
-ObservabilityAgent::~ObservabilityAgent()
-{
-    *alive_ = false;
-    stop();
-}
+ObservabilityAgent::~ObservabilityAgent() { stop(); }
 
 void
 ObservabilityAgent::start()
@@ -235,10 +231,9 @@ ObservabilityAgent::readStats(int fd) const
 void
 ObservabilityAgent::scheduleSample()
 {
-    auto alive = alive_;
-    sampleTimer_ = kernel_.sim().schedule(
-        config_.samplePeriod * backoff_, [this, alive] {
-            if (!*alive || !running_)
+    sampleTimer_ =
+        kernel_.sim().schedule(config_.samplePeriod * backoff_, [this] {
+            if (!running_)
                 return;
             takeSample();
             scheduleSample();

@@ -359,8 +359,6 @@ class ObservabilityAgent
 
     bool tearNextWindow_ = false;
     TenantMetrics metrics_;
-    /** Teardown guard; last member so it outlives everything above. */
-    std::shared_ptr<bool> alive_;
 
     ebpf::probes::SyscallStats readStats(int fd) const;
     void scheduleSample();

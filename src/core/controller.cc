@@ -11,8 +11,7 @@ FleetController::FleetController(sim::Simulation &sim,
                                  std::size_t machines, std::size_t tenants,
                                  FleetActuators actuators)
     : sim_(sim), config_(config), actuators_(std::move(actuators)),
-      machine_(machines), shed_(tenants),
-      alive_(std::make_shared<bool>(true))
+      machine_(machines), shed_(tenants)
 {
     if (machines == 0)
         sim::fatal("FleetController: need at least one machine");
@@ -38,11 +37,7 @@ FleetController::FleetController(sim::Simulation &sim,
         m.workerTarget = config_.baseWorkers;
 }
 
-FleetController::~FleetController()
-{
-    *alive_ = false;
-    tickTimer_.cancel();
-}
+FleetController::~FleetController() { tickTimer_.cancel(); }
 
 void
 FleetController::start()
@@ -67,9 +62,8 @@ FleetController::stop()
 void
 FleetController::scheduleTick()
 {
-    auto alive = alive_;
-    tickTimer_ = sim_.schedule(config_.tickPeriod, [this, alive] {
-        if (!*alive || !running_)
+    tickTimer_ = sim_.schedule(config_.tickPeriod, [this] {
+        if (!running_)
             return;
         tickWith(inputProvider_(), sim_.now());
         scheduleTick();

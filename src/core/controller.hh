@@ -271,8 +271,6 @@ class FleetController
     ControllerStats stats_;
     std::vector<MachineState> machine_;
     std::vector<TenantState> shed_;
-    /** Teardown guard; last member so it outlives everything above. */
-    std::shared_ptr<bool> alive_;
 
     void scheduleTick();
     bool cooledDown(sim::Tick last, sim::Tick cooldown, sim::Tick now) const

@@ -14,14 +14,10 @@ Supervisor::Supervisor(kernel::Kernel &kernel, kernel::Pid tgid,
                        fault::FaultInjector *injector, sim::Rng rng)
     : kernel_(kernel), tgid_(tgid), profile_(profile),
       agentConfig_(agent_config), config_(config), injector_(injector),
-      rng_(rng), alive_(std::make_shared<bool>(true))
+      rng_(rng)
 {}
 
-Supervisor::~Supervisor()
-{
-    *alive_ = false;
-    stop();
-}
+Supervisor::~Supervisor() { stop(); }
 
 void
 Supervisor::start()
@@ -53,13 +49,8 @@ Supervisor::spawnAgent()
     startTimes_.push_back(kernel_.sim().now());
 
     AgentConfig ac = agentConfig_;
-    auto alive = alive_;
-    const unsigned epoch = epoch_;
     auto user_hook = agentConfig_.sampleHook;
-    ac.sampleHook = [this, alive, epoch,
-                     user_hook](const MetricsSample &s) {
-        if (!*alive || epoch != epoch_)
-            return;
+    ac.sampleHook = [this, user_hook](const MetricsSample &s) {
         if (user_hook)
             user_hook(s);
         samples_.push_back(s);
@@ -191,12 +182,7 @@ Supervisor::scheduleRestart()
                         std::max(1.0, config_.restartBackoffFactor);
     backoff_ = std::min<sim::Tick>(static_cast<sim::Tick>(next),
                                    config_.restartBackoffMax);
-    auto alive = alive_;
-    restartTimer_ = kernel_.sim().schedule(delay, [this, alive] {
-        if (!*alive || !running_)
-            return;
-        spawnAgent();
-    });
+    restartTimer_ = kernel_.sim().schedule(delay, [this] { spawnAgent(); });
 }
 
 void
@@ -214,26 +200,17 @@ Supervisor::armLifecycleFaults()
 {
     if (!injector_)
         return;
-    auto alive = alive_;
-    const unsigned epoch = epoch_;
     const sim::Tick crash_delay = injector_->nextAgentCrashDelay();
     if (crash_delay > 0) {
         crashTimer_ =
-            kernel_.sim().schedule(crash_delay, [this, alive, epoch] {
-                if (!*alive || !running_ || epoch != epoch_ || !agent_)
-                    return;
-                onCrash();
-            });
+            kernel_.sim().schedule(crash_delay, [this] { onCrash(); });
     }
     const sim::Tick stall_delay = injector_->nextSamplerStallDelay();
     if (stall_delay > 0) {
-        stallTimer_ =
-            kernel_.sim().schedule(stall_delay, [this, alive, epoch] {
-                if (!*alive || !running_ || epoch != epoch_ || !agent_)
-                    return;
-                injector_->noteSamplerStall();
-                agent_->stallSampler();
-            });
+        stallTimer_ = kernel_.sim().schedule(stall_delay, [this] {
+            injector_->noteSamplerStall();
+            agent_->stallSampler();
+        });
     }
 }
 
@@ -256,14 +233,8 @@ Supervisor::samplerProgress() const
 void
 Supervisor::armWatchdog()
 {
-    auto alive = alive_;
-    const unsigned epoch = epoch_;
     watchdogTimer_ =
-        kernel_.sim().schedule(watchdogPeriod(), [this, alive, epoch] {
-            if (!*alive || !running_ || epoch != epoch_ || !agent_)
-                return;
-            onWatchdogTick();
-        });
+        kernel_.sim().schedule(watchdogPeriod(), [this] { onWatchdogTick(); });
 }
 
 void

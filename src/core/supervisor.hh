@@ -149,9 +149,11 @@ class Supervisor
 
     std::unique_ptr<ObservabilityAgent> agent_;
     bool running_ = false;
-    /** Incarnation counter; stale timer callbacks compare and bail. */
+    /** Incarnations started so far; above 1 a start is a restart. */
     unsigned epoch_ = 0;
 
+    /** teardownAgent() cancels the first three and stop() the fourth,
+     *  so no timer fires for a dead agent or a stopped supervisor. */
     sim::EventId crashTimer_;
     sim::EventId stallTimer_;
     sim::EventId watchdogTimer_;
@@ -178,9 +180,6 @@ class Supervisor
     std::uint64_t accumMapUpdateFails_ = 0;
     std::uint64_t accumRingbufDrops_ = 0;
     std::uint64_t accumProbeMisses_ = 0;
-
-    /** Teardown guard; last member so it outlives everything above. */
-    std::shared_ptr<bool> alive_;
 
     void spawnAgent();
     void reseedDeltaChains();

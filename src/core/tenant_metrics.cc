@@ -11,8 +11,7 @@ using ebpf::probes::SyscallStats;
 MultiTenantAgent::MultiTenantAgent(kernel::Kernel &kernel,
                                    std::vector<TenantBinding> tenants,
                                    const AgentConfig &config)
-    : kernel_(kernel), tenants_(std::move(tenants)), config_(config),
-      alive_(std::make_shared<bool>(true))
+    : kernel_(kernel), tenants_(std::move(tenants)), config_(config)
 {
     if (tenants_.empty())
         sim::fatal("MultiTenantAgent: need at least one tenant");
@@ -22,11 +21,7 @@ MultiTenantAgent::MultiTenantAgent(kernel::Kernel &kernel,
         metrics_.push_back(std::make_unique<TenantMetrics>(config));
 }
 
-MultiTenantAgent::~MultiTenantAgent()
-{
-    *alive_ = false;
-    stop();
-}
+MultiTenantAgent::~MultiTenantAgent() { stop(); }
 
 void
 MultiTenantAgent::start()
@@ -140,14 +135,12 @@ MultiTenantAgent::readSlot(int fd, std::size_t slot) const
 void
 MultiTenantAgent::scheduleSample()
 {
-    auto alive = alive_;
-    sampleTimer_ = kernel_.sim().schedule(config_.samplePeriod,
-                                          [this, alive] {
-                                              if (!*alive || !running_)
-                                                  return;
-                                              takeSample();
-                                              scheduleSample();
-                                          });
+    sampleTimer_ = kernel_.sim().schedule(config_.samplePeriod, [this] {
+        if (!running_)
+            return;
+        takeSample();
+        scheduleSample();
+    });
 }
 
 void

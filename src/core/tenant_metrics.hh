@@ -103,9 +103,6 @@ class MultiTenantAgent
     /** Per-tenant cumulative runqlat histogram at window start. */
     std::vector<std::vector<std::uint64_t>> runqSnap_;
 
-    /** Teardown guard; last member so it outlives everything above. */
-    std::shared_ptr<bool> alive_;
-
     ebpf::probes::SyscallStats readSlot(int fd, std::size_t slot) const;
     void scheduleSample();
     void takeSample();

@@ -14,17 +14,12 @@ using ebpf::probes::StreamRecord;
 
 TraceCollector::TraceCollector(kernel::Kernel &kernel, kernel::Pid tgid,
                                const TraceConfig &config)
-    : kernel_(kernel), tgid_(tgid), config_(config),
-      alive_(std::make_shared<bool>(true))
+    : kernel_(kernel), tgid_(tgid), config_(config)
 {
     runtime_ = std::make_unique<ebpf::EbpfRuntime>(kernel, config.runtime);
 }
 
-TraceCollector::~TraceCollector()
-{
-    *alive_ = false;
-    stop();
-}
+TraceCollector::~TraceCollector() { stop(); }
 
 void
 TraceCollector::start()
@@ -69,14 +64,12 @@ TraceCollector::drops() const
 void
 TraceCollector::scheduleDrain()
 {
-    auto alive = alive_;
-    drainTimer_ = kernel_.sim().schedule(config_.drainPeriod,
-                                         [this, alive] {
-                                             if (!*alive || !running_)
-                                                 return;
-                                             drain();
-                                             scheduleDrain();
-                                         });
+    drainTimer_ = kernel_.sim().schedule(config_.drainPeriod, [this] {
+        if (!running_)
+            return;
+        drain();
+        scheduleDrain();
+    });
 }
 
 void

@@ -73,7 +73,6 @@ class TraceCollector
     ebpf::probes::StreamMaps maps_;
     bool running_ = false;
     sim::EventId drainTimer_;
-    std::shared_ptr<bool> alive_;
     std::vector<ebpf::probes::StreamRecord> records_;
 
     void scheduleDrain();

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <optional>
-#include <string>
 
 #include "fault/fault.hh"
 #include "sim/logging.hh"
@@ -28,33 +25,6 @@ exactSlices(double remaining, double w)
     return w == std::floor(w) && remaining < 9007199254740992.0;
 }
 
-/**
- * REQOBS_SCHED=gps|discrete overrides CpuConfig::sched for every
- * CpuModel constructed in the process (cached once). check.sh uses
- * "gps" to prove the discrete machinery is inert on the default
- * figure-bench path.
- */
-std::optional<SchedModel>
-schedOverride()
-{
-    static const std::optional<SchedModel> cached =
-        []() -> std::optional<SchedModel> {
-        const char *env = std::getenv("REQOBS_SCHED");
-        if (env == nullptr || *env == '\0')
-            return std::nullopt;
-        const std::string v(env);
-        if (v == "gps")
-            return SchedModel::Gps;
-        if (v == "discrete")
-            return SchedModel::Discrete;
-        sim::fatal("REQOBS_SCHED: unknown scheduler '%s' "
-                   "(want gps or discrete)",
-                   env);
-        return std::nullopt;
-    }();
-    return cached;
-}
-
 } // namespace
 
 CpuModel::CpuModel(sim::Simulation &sim, const CpuConfig &config)
@@ -64,8 +34,6 @@ CpuModel::CpuModel(sim::Simulation &sim, const CpuConfig &config)
         sim::fatal("CpuModel: need at least one core");
     if (config.speed <= 0.0)
         sim::fatal("CpuModel: speed must be positive");
-    if (auto ov = schedOverride())
-        config_.sched = *ov;
     if (config_.sched == SchedModel::Discrete) {
         if (config_.quantum <= 0)
             sim::fatal("CpuModel: discrete dispatch needs a positive "

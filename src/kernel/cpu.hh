@@ -79,9 +79,7 @@ struct CpuConfig
     double jitterCap = 2.0;
     /**
      * Scheduling model. Gps keeps today's completion times bit-exactly;
-     * Discrete enables the sched tracepoints. The REQOBS_SCHED
-     * environment variable ("gps" | "discrete") overrides this at
-     * construction, letting check.sh prove the default path is inert.
+     * Discrete enables the sched tracepoints.
      */
     SchedModel sched = SchedModel::Gps;
     /** Discrete-dispatch timeslice. Ignored under Gps. */

@@ -22,19 +22,17 @@ UringEnterOp::await_suspend(std::coroutine_handle<> h)
 void
 UringEnterOp::wake()
 {
-    k_.scheduleGuarded(k_.config().wakeLatency, [this] {
+    k_.sim().schedule(k_.config().wakeLatency, [this] {
         k_.finishSyscall(tid_, syscallId(Syscall::IoUringEnter), 1, h_);
     });
 }
 
 IoUring::IoUring(Kernel &kernel, Pid pid, const IoUringConfig &config)
-    : kernel_(kernel), pid_(pid), config_(config),
-      alive_(std::make_shared<bool>(true))
+    : kernel_(kernel), pid_(pid), config_(config)
 {}
 
 IoUring::~IoUring()
 {
-    *alive_ = false;
     for (auto &[fd, sock] : recvArmed_)
         sock->removeObserver(this);
 }
@@ -61,10 +59,7 @@ IoUring::onReadable(Fd fd)
         return;
     auto sock = it->second;
     // Kernel-side async work: drain into the CQ after the op cost.
-    auto alive = alive_;
-    kernel_.sim().schedule(config_.asyncOpCost, [this, alive, fd, sock] {
-        if (!*alive)
-            return;
+    kernel_.sim().schedule(config_.asyncOpCost, [this, fd, sock] {
         while (sock->hasData()) {
             if (cq_.size() >= config_.cqCapacity) {
                 ++overflow_;
@@ -100,11 +95,8 @@ IoUring::submitSend(Fd fd, Message msg)
     auto sock = kernel_.socketAt(pid_, fd);
     if (!sock)
         sim::fatal("IoUring::submitSend: fd %d is not a socket", fd);
-    auto alive = alive_;
     kernel_.sim().schedule(config_.asyncOpCost,
-                           [alive, sock, msg = std::move(msg)]() mutable {
-                               if (!*alive)
-                                   return;
+                           [sock, msg = std::move(msg)]() mutable {
                                sock->transmit(std::move(msg));
                            });
 }

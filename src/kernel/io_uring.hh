@@ -127,7 +127,6 @@ class IoUring : public ReadinessObserver
     std::uint64_t completions_ = 0;
     std::uint64_t submissions_ = 0;
     std::uint64_t overflow_ = 0;
-    std::shared_ptr<bool> alive_;
 };
 
 } // namespace reqobs::kernel

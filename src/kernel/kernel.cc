@@ -26,8 +26,7 @@ tracepointTimestamp(sim::Tick now, fault::FaultInjector *fault)
 
 Kernel::Kernel(sim::Simulation &sim, const KernelConfig &config)
     : sim_(sim), config_(config),
-      cpu_(std::make_unique<CpuModel>(sim, config.cpu)),
-      alive_(std::make_shared<bool>(true))
+      cpu_(std::make_unique<CpuModel>(sim, config.cpu))
 {
     // Surface discrete-dispatch scheduler transitions as tracepoints
     // (under Gps the hook never fires). Probe cost is deliberately not
@@ -58,10 +57,9 @@ Kernel::Kernel(sim::Simulation &sim, const KernelConfig &config)
 
 Kernel::~Kernel()
 {
-    *alive_ = false;
     // Destroy every coroutine frame we still own. Frames suspended at a
-    // syscall awaiter unwind their locals; their pending events are
-    // defused by the alive_ guard.
+    // syscall awaiter unwind their locals; their pending events never
+    // run, because nothing pumps the queue after this (DESIGN.md §16).
     for (auto &[tid, thread] : threads_) {
         if (thread.coro)
             thread.coro.destroy();
@@ -107,20 +105,10 @@ Kernel::installFile(Pid pid, std::shared_ptr<File> file)
     return fd;
 }
 
-sim::EventId
-Kernel::scheduleGuarded(sim::Tick delay, std::function<void()> fn)
-{
-    auto alive = alive_;
-    return sim_.schedule(delay, [alive, fn = std::move(fn)] {
-        if (*alive)
-            fn();
-    });
-}
-
 void
 Kernel::resumeHandle(std::coroutine_handle<> h)
 {
-    if (*alive_ && h && !h.done())
+    if (h && !h.done())
         h.resume();
 }
 
@@ -154,7 +142,7 @@ Kernel::finishSyscall(Tid tid, std::int64_t syscall, std::int64_t ret,
                       std::coroutine_handle<> h)
 {
     const sim::Tick exit_cost = fireExit(tid, syscall, ret);
-    scheduleGuarded(exit_cost, [this, h] { resumeHandle(h); });
+    sim_.schedule(exit_cost, [this, h] { resumeHandle(h); });
 }
 
 // -------------------------------------------------- processes and threads
@@ -195,7 +183,7 @@ Kernel::spawnThread(Pid pid, ThreadBody body)
         sim::panic("Kernel::spawnThread: body returned an empty task");
     h.promise().onFinal = [this, tid] { threads_.at(tid).finished = true; };
     threads_.at(tid).coro = h;
-    scheduleGuarded(0, [this, h] { resumeHandle(h); });
+    sim_.schedule(0, [this, h] { resumeHandle(h); });
     return tid;
 }
 
@@ -296,7 +284,7 @@ Kernel::socketPair(Pid pid_a, Pid pid_b, sim::Tick latency)
     auto wire = [this, latency](const std::shared_ptr<Socket> &dst) {
         return [this, latency,
                 peer = std::weak_ptr<Socket>(dst)](Message &&msg) {
-            scheduleGuarded(latency, [this, peer, msg = std::move(msg)] {
+            sim_.schedule(latency, [this, peer, msg = std::move(msg)] {
                 if (auto dst = peer.lock())
                     dst->deliver(msg, sim_.now());
             });
@@ -405,20 +393,20 @@ EpollWaitOp::await_suspend(std::coroutine_handle<> h)
     if (!ready.empty()) {
         result_ = std::move(ready);
         state_ = State::Done;
-        k_.scheduleGuarded(enter_cost + k_.config().syscallBaseCost,
-                           [this] { complete(); });
+        k_.sim().schedule(enter_cost + k_.config().syscallBaseCost,
+                          [this] { complete(); });
         return;
     }
 
     state_ = State::Waiting;
     waiterId_ = ep_->addWaiter([this] { onWake(); });
     if (timeout_ >= 0) {
-        timer_ = k_.scheduleGuarded(enter_cost + timeout_,
-                                    [this] { onTimeout(); });
+        timer_ = k_.sim().schedule(enter_cost + timeout_,
+                                   [this] { onTimeout(); });
     }
     if (fault::FaultInjector *f = k_.faultInjector();
         f && f->injectSpuriousWakeup()) {
-        spuriousTimer_ = k_.scheduleGuarded(
+        spuriousTimer_ = k_.sim().schedule(
             enter_cost + f->spuriousWakeupDelay(), [this] { onSpurious(); });
     }
 }
@@ -442,7 +430,7 @@ EpollWaitOp::onWake()
     if (state_ != State::Waiting)
         return;
     state_ = State::Waking;
-    k_.scheduleGuarded(k_.config().wakeLatency, [this] { finishScan(); });
+    k_.sim().schedule(k_.config().wakeLatency, [this] { finishScan(); });
 }
 
 void
@@ -510,8 +498,8 @@ SelectOp::await_suspend(std::coroutine_handle<> h)
     }
     if (!result_.empty()) {
         state_ = State::Done;
-        k_.scheduleGuarded(enter_cost + k_.config().syscallBaseCost,
-                           [this] { complete(); });
+        k_.sim().schedule(enter_cost + k_.config().syscallBaseCost,
+                          [this] { complete(); });
         return;
     }
 
@@ -523,12 +511,12 @@ SelectOp::await_suspend(std::coroutine_handle<> h)
             file->addObserver(this, fd);
     }
     if (timeout_ >= 0) {
-        timer_ = k_.scheduleGuarded(enter_cost + timeout_,
-                                    [this] { onTimeout(); });
+        timer_ = k_.sim().schedule(enter_cost + timeout_,
+                                   [this] { onTimeout(); });
     }
     if (fault::FaultInjector *f = k_.faultInjector();
         f && f->injectSpuriousWakeup()) {
-        spuriousTimer_ = k_.scheduleGuarded(
+        spuriousTimer_ = k_.sim().schedule(
             enter_cost + f->spuriousWakeupDelay(), [this] { onSpurious(); });
     }
 }
@@ -564,7 +552,7 @@ SelectOp::onReadable(Fd)
         return;
     state_ = State::Waking;
     unobserve();
-    k_.scheduleGuarded(k_.config().wakeLatency, [this] { finishScan(); });
+    k_.sim().schedule(k_.config().wakeLatency, [this] { finishScan(); });
 }
 
 void
@@ -631,7 +619,7 @@ void
 RecvOp::start()
 {
     const sim::Tick enter_cost = k_.fireEnter(tid_, syscallId(which_));
-    k_.scheduleGuarded(enter_cost + k_.config().syscallBaseCost, [this] {
+    k_.sim().schedule(enter_cost + k_.config().syscallBaseCost, [this] {
         fault::FaultInjector *f = k_.faultInjector();
         if (f && f->injectEintr(restarts_)) {
             // Interrupted by a signal before completing; SA_RESTART
@@ -639,7 +627,7 @@ RecvOp::start()
             ++restarts_;
             const sim::Tick exit_cost =
                 k_.fireExit(tid_, syscallId(which_), kEintr);
-            k_.scheduleGuarded(exit_cost, [this] { start(); });
+            k_.sim().schedule(exit_cost, [this] { start(); });
             return;
         }
         auto sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
@@ -682,10 +670,10 @@ RecvOp::partialStep()
         return;
     }
     const sim::Tick exit_cost = k_.fireExit(tid_, syscallId(which_), ret);
-    k_.scheduleGuarded(exit_cost, [this] {
+    k_.sim().schedule(exit_cost, [this] {
         const sim::Tick enter_cost = k_.fireEnter(tid_, syscallId(which_));
-        k_.scheduleGuarded(enter_cost + k_.config().syscallBaseCost,
-                           [this] { partialStep(); });
+        k_.sim().schedule(enter_cost + k_.config().syscallBaseCost,
+                          [this] { partialStep(); });
     });
 }
 
@@ -702,14 +690,14 @@ void
 SendOp::start()
 {
     const sim::Tick enter_cost = k_.fireEnter(tid_, syscallId(which_));
-    k_.scheduleGuarded(enter_cost + k_.config().syscallBaseCost, [this] {
+    k_.sim().schedule(enter_cost + k_.config().syscallBaseCost, [this] {
         fault::FaultInjector *f = k_.faultInjector();
         if (f && f->injectEintr(restarts_)) {
             // Interrupted before any byte was queued; restart cleanly.
             ++restarts_;
             const sim::Tick exit_cost =
                 k_.fireExit(tid_, syscallId(which_), kEintr);
-            k_.scheduleGuarded(exit_cost, [this] { start(); });
+            k_.sim().schedule(exit_cost, [this] { start(); });
             return;
         }
         auto sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
@@ -750,10 +738,10 @@ SendOp::partialStep()
         return;
     }
     const sim::Tick exit_cost = k_.fireExit(tid_, syscallId(which_), ret);
-    k_.scheduleGuarded(exit_cost, [this] {
+    k_.sim().schedule(exit_cost, [this] {
         const sim::Tick enter_cost = k_.fireEnter(tid_, syscallId(which_));
-        k_.scheduleGuarded(enter_cost + k_.config().syscallBaseCost,
-                           [this] { partialStep(); });
+        k_.sim().schedule(enter_cost + k_.config().syscallBaseCost,
+                          [this] { partialStep(); });
     });
 }
 
@@ -765,7 +753,7 @@ AcceptOp::await_suspend(std::coroutine_handle<> h)
     h_ = h;
     const sim::Tick enter_cost =
         k_.fireEnter(tid_, syscallId(Syscall::Accept));
-    k_.scheduleGuarded(enter_cost + k_.config().syscallBaseCost, [this] {
+    k_.sim().schedule(enter_cost + k_.config().syscallBaseCost, [this] {
         const Pid pid = k_.threadOf(tid_).pid;
         auto listener = k_.listenerAt(pid, listenFd_);
         if (listener && listener->hasPending()) {
@@ -798,7 +786,7 @@ SleepOp::await_suspend(std::coroutine_handle<> h)
 {
     const sim::Tick enter_cost =
         k_.fireEnter(tid_, syscallId(Syscall::Nanosleep));
-    k_.scheduleGuarded(enter_cost + duration_, [this, h] {
+    k_.sim().schedule(enter_cost + duration_, [this, h] {
         k_.finishSyscall(tid_, syscallId(Syscall::Nanosleep), 0, h);
     });
 }

@@ -20,7 +20,8 @@
  * what bench_overhead measures.
  *
  * Lifetime rules: the Simulation must outlive the Kernel, and the event
- * queue must not be pumped after the Kernel is destroyed.
+ * queue must not be pumped after the Kernel is destroyed; the kernel's
+ * events are plain callbacks on that rule (DESIGN.md §16).
  */
 
 #ifndef REQOBS_KERNEL_KERNEL_HH
@@ -426,8 +427,6 @@ class Kernel
     std::uint64_t syscalls_ = 0;
     std::map<Pid, std::uint64_t> syscallsByTgid_;
     fault::FaultInjector *fault_ = nullptr;
-    /** Teardown guard shared with every scheduled completion event. */
-    std::shared_ptr<bool> alive_;
 
     Process &processOf(Pid pid);
     const Process &processOf(Pid pid) const;
@@ -448,10 +447,7 @@ class Kernel
     void finishSyscall(Tid tid, std::int64_t syscall, std::int64_t ret,
                        std::coroutine_handle<> h);
 
-    /** Schedule @p fn guarded against kernel teardown. */
-    sim::EventId scheduleGuarded(sim::Tick delay, std::function<void()> fn);
-
-    /** Resume @p h now if the kernel is still alive. */
+    /** Resume @p h now unless its coroutine already finished. */
     void resumeHandle(std::coroutine_handle<> h);
 };
 

@@ -13,7 +13,7 @@ FutexWaitOp::await_suspend(std::coroutine_handle<> h)
 void
 FutexWaitOp::wake()
 {
-    k_.scheduleGuarded(k_.config().wakeLatency, [this] {
+    k_.sim().schedule(k_.config().wakeLatency, [this] {
         k_.finishSyscall(tid_, syscallId(Syscall::Futex), 0, h_);
     });
 }

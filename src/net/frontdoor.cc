@@ -25,23 +25,10 @@ FrontDoorCounts::operator+=(const FrontDoorCounts &o)
 }
 
 FrontDoor::FrontDoor(kernel::Kernel &kernel, const FrontDoorConfig &config)
-    : kernel_(kernel), sim_(kernel.sim()), config_(config),
-      alive_(std::make_shared<bool>(true))
+    : kernel_(kernel), sim_(kernel.sim()), config_(config)
 {
     if (config_.ingressQueueDepth == 0)
         sim::fatal("FrontDoor: ingressQueueDepth must be > 0");
-}
-
-FrontDoor::~FrontDoor() { *alive_ = false; }
-
-void
-FrontDoor::scheduleGuarded(sim::Tick delay, std::function<void()> fn)
-{
-    auto alive = alive_;
-    sim_.schedule(delay, [alive, fn = std::move(fn)] {
-        if (*alive)
-            fn();
-    });
 }
 
 unsigned
@@ -88,7 +75,7 @@ FrontDoor::scheduleFlood(unsigned listener)
     auto *inj = kernel_.faultInjector();
     if (!inj || inj->plan().synFloodRate <= 0.0)
         return;
-    scheduleGuarded(inj->nextSynFloodDelay(), [this, listener] {
+    sim_.schedule(inj->nextSynFloodDelay(), [this, listener] {
         if (auto *i = kernel_.faultInjector())
             i->noteSynFloodConn();
         ++listeners_[listener]->counts.floodSyns;
@@ -149,8 +136,8 @@ FrontDoor::attemptSyn(std::uint64_t flow_id)
 
     const sim::Tick start = std::max(sim_.now(), ingressBusyUntil_);
     ingressBusyUntil_ = start + config_.ingressLatency;
-    scheduleGuarded(ingressBusyUntil_ - sim_.now(),
-                    [this, flow_id] { processSyn(flow_id); });
+    sim_.schedule(ingressBusyUntil_ - sim_.now(),
+                  [this, flow_id] { processSyn(flow_id); });
 }
 
 void
@@ -193,7 +180,7 @@ FrontDoor::processSyn(std::uint64_t flow_id)
     }
     ++l.halfOpen;
     const sim::Tick hold = l.config.handshakeRtt + flow.opts.holdHandshake;
-    scheduleGuarded(hold, [this, flow_id] { completeHandshake(flow_id); });
+    sim_.schedule(hold, [this, flow_id] { completeHandshake(flow_id); });
 }
 
 void
@@ -252,7 +239,7 @@ FrontDoor::dropAndRearm(std::uint64_t flow_id)
     // drops have happened: that indexes the shared backoff schedule.
     const sim::Tick wait = synRetransmitTimeout(config_.tcp,
                                                 flow.attempts - 1);
-    scheduleGuarded(wait, [this, flow_id] {
+    sim_.schedule(wait, [this, flow_id] {
         auto it2 = flows_.find(flow_id);
         if (it2 == flows_.end())
             return;

@@ -147,7 +147,6 @@ class FrontDoor
 {
   public:
     FrontDoor(kernel::Kernel &kernel, const FrontDoorConfig &config);
-    ~FrontDoor();
 
     FrontDoor(const FrontDoor &) = delete;
     FrontDoor &operator=(const FrontDoor &) = delete;
@@ -241,8 +240,6 @@ class FrontDoor
     std::size_t ingressQueued_ = 0;
     sim::Tick ingressBusyUntil_ = 0; ///< single-server drain horizon
     bool started_ = false;
-    /** Guards scheduled callbacks against teardown. */
-    std::shared_ptr<bool> alive_;
 
     void attemptSyn(std::uint64_t flow_id);
     void processSyn(std::uint64_t flow_id);
@@ -255,7 +252,6 @@ class FrontDoor
                         kernel::Pid pid);
     kernel::Task acceptorBody(kernel::Kernel &k, kernel::Tid tid,
                               unsigned listener);
-    void scheduleGuarded(sim::Tick delay, std::function<void()> fn);
 };
 
 } // namespace reqobs::net

@@ -116,7 +116,11 @@ class TcpPipe
     std::uint64_t retx_ = 0;
     std::uint64_t fastRetx_ = 0;
     std::uint64_t delivered_ = 0;
-    /** Guards scheduled deliveries against pipe teardown. */
+    /**
+     * Drops in-flight deliveries once the pipe is gone: a storm
+     * connection's pipes die mid-run, and this flag is cheaper than
+     * keeping every delivery's EventId to cancel (DESIGN.md §16).
+     */
     std::shared_ptr<bool> alive_;
 };
 

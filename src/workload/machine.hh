@@ -18,7 +18,8 @@
  * relies on lives in kernel::Kernel — see DESIGN.md §10.
  *
  * Lifetime: the Simulation must outlive the Machine; the Machine must
- * outlive event-queue activity, exactly as for a bare Kernel.
+ * outlive event-queue activity, exactly as for a bare Kernel
+ * (DESIGN.md §16).
  */
 
 #ifndef REQOBS_WORKLOAD_MACHINE_HH

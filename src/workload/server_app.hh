@@ -11,7 +11,8 @@
  * Lifecycle: construct, call addConnection() once per client connection
  * (the network layer wires Links to the returned sockets), then start().
  * The app must outlive all event-queue activity; destroy the Kernel (or
- * stop pumping the simulation) before destroying the app.
+ * stop pumping the simulation) before destroying the app. Its events
+ * are plain callbacks on that rule (DESIGN.md §16).
  */
 
 #ifndef REQOBS_WORKLOAD_SERVER_APP_HH

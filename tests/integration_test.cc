@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "client/load_generator.hh"
 #include "core/experiment.hh"
@@ -109,6 +110,39 @@ TEST(AgentIntegrationTest, DetectorFlagsAStepIntoOverload)
     EXPECT_TRUE(agent.saturation().saturated());
     EXPECT_LT(agent.slackEstimator().slack(), 0.3);
     agent.stop();
+    gen.stop();
+}
+
+TEST(AgentIntegrationTest, DestroyedAgentNeverSamplesAgain)
+{
+    // The supervisor destroys its agent mid-run on every crash: the
+    // agent's pending sample tick must die with it.
+    sim::Simulation sim(13);
+    kernel::Kernel kernel(sim);
+    auto wl = workload::workloadByName("data-caching");
+    wl.saturationRps = 4000.0;
+    workload::ServerApp app(kernel, wl);
+    client::ClientConfig cc;
+    cc.offeredRps = 0.5 * wl.saturationRps;
+    cc.warmup = 0;
+    client::LoadGenerator gen(sim, app, net::NetemConfig{},
+                              net::TcpConfig{}, cc);
+    AgentConfig ac;
+    ac.samplePeriod = sim::milliseconds(10);
+    ac.minWindowSyscalls = 1;
+    unsigned hooks = 0;
+    ac.sampleHook = [&hooks](const MetricsSample &) { ++hooks; };
+    auto agent = std::make_unique<ObservabilityAgent>(
+        kernel, app.frontPid(), profileFor(wl), ac);
+    app.start();
+    agent->start();
+    gen.start();
+    sim.runFor(sim::milliseconds(55));
+    const unsigned before = hooks;
+    EXPECT_GT(before, 0u);
+    agent.reset(); // its next tick, at 60 ms, is still pending
+    sim.runFor(sim::milliseconds(100));
+    EXPECT_EQ(hooks, before);
     gen.stop();
 }
 

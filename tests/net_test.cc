@@ -250,6 +250,28 @@ TEST(LinkTest, DestructionDisarmsSocketHook)
     sim.run();
 }
 
+TEST(LinkTest, DestructionCancelsInFlightDeliveries)
+{
+    // A storm connection's Link dies mid-run; requests still on the wire
+    // must be dropped by its pipes, not delivered through the dead link.
+    sim::Simulation sim(5);
+    auto sock = std::make_shared<kernel::Socket>(1);
+    NetemConfig netem;
+    netem.delay = sim::milliseconds(1);
+    {
+        Link link(sim, netem, TcpConfig{}, sock, [](kernel::Message &&) {});
+        for (std::uint64_t id = 1; id <= 3; ++id) {
+            kernel::Message req;
+            req.requestId = id;
+            req.bytes = 100;
+            link.sendRequest(std::move(req));
+        }
+    }
+    sim.run();
+    EXPECT_GE(sim.now(), sim::milliseconds(1)); // the deliveries fired
+    EXPECT_EQ(sock->delivered(), 0u);
+}
+
 TEST(NetemExperimentTest, CombinedDelayAndLossStaysWithinSingleFaultEnvelopes)
 {
     // Table II applies netem impairments one at a time; production links

@@ -1,13 +1,12 @@
 /**
  * @file
  * Unit tests for the statistics module: streaming moments (floating
- * point and the probe's integer form), windowed stats, the log-bucket
- * latency histogram, OLS regression and batch helpers.
+ * point and the probe's integer form), the log-bucket latency
+ * histogram, OLS regression and batch helpers.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "stats/regression.hh"
 #include "stats/summary.hh"
 #include "stats/welford.hh"
-#include "stats/windowed.hh"
 
 namespace reqobs::stats {
 namespace {
@@ -124,56 +122,6 @@ TEST(IntegerMomentsTest, ResetClearsState)
     im.reset();
     EXPECT_EQ(im.count(), 0u);
     EXPECT_EQ(im.mean(), 0.0);
-}
-
-// ---------------------------------------------------------- SlidingWindow
-
-TEST(SlidingWindowTest, MatchesNaiveOverWindow)
-{
-    const auto v = randomSamples(4, 500, 0.0, 10.0);
-    SlidingWindow win(64);
-    for (double x : v)
-        win.push(x);
-    std::vector<double> last(v.end() - 64, v.end());
-    EXPECT_TRUE(win.full());
-    EXPECT_NEAR(win.mean(), mean(last), 1e-9);
-    EXPECT_NEAR(win.variance(), naiveVariance(last), 1e-6);
-    EXPECT_DOUBLE_EQ(win.min(), *std::min_element(last.begin(), last.end()));
-    EXPECT_DOUBLE_EQ(win.max(), *std::max_element(last.begin(), last.end()));
-}
-
-TEST(SlidingWindowTest, PartialFill)
-{
-    SlidingWindow win(10);
-    win.push(2.0);
-    win.push(4.0);
-    EXPECT_EQ(win.size(), 2u);
-    EXPECT_FALSE(win.full());
-    EXPECT_DOUBLE_EQ(win.mean(), 3.0);
-}
-
-TEST(SlidingWindowDeathTest, ZeroCapacityIsFatal)
-{
-    EXPECT_DEATH(SlidingWindow(0), "capacity");
-}
-
-// --------------------------------------------------------- TumblingWindow
-
-TEST(TumblingWindowTest, EmitsAggregatesPerWindow)
-{
-    TumblingWindow win(4);
-    int completions = 0;
-    for (int i = 1; i <= 12; ++i) {
-        if (win.push(static_cast<double>(i)))
-            ++completions;
-    }
-    EXPECT_EQ(completions, 3);
-    EXPECT_EQ(win.completed(), 3u);
-    // Last window held 9,10,11,12.
-    EXPECT_DOUBLE_EQ(win.last().mean, 10.5);
-    EXPECT_DOUBLE_EQ(win.last().minimum, 9.0);
-    EXPECT_DOUBLE_EQ(win.last().maximum, 12.0);
-    EXPECT_EQ(win.last().count, 4u);
 }
 
 // -------------------------------------------------------------- Histogram
