@@ -152,7 +152,7 @@ partOneMatrix()
                 it - mix.tenants.begin());
             const double r2 = tenantR2(results[m], t);
             bench::MatrixTable::cell(r2);
-            g_json.add("colocation", mix.label + "/" + name, r2, 0.0);
+            g_json.add("colocation", mix.label + "/" + name, "r2", r2);
         }
         bench::MatrixTable::endRow();
     }

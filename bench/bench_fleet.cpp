@@ -116,7 +116,7 @@ partOneMachineCount()
                 fleetSweep(wl, m, net::LbPolicy::RoundRobin);
             const double r2 = fleetR2(levels);
             bench::MatrixTable::cell(r2);
-            g_json.add("fleet", name + "/m" + std::to_string(m), r2, 0.0);
+            g_json.add("fleet", name + "/m" + std::to_string(m), "r2", r2);
         }
         bench::MatrixTable::endRow();
     }
@@ -158,8 +158,8 @@ partTwoLbAblation()
                     static_cast<double>(top.p99Ns) / 1e6,
                     100.0 * static_cast<double>(min_c) / total,
                     100.0 * static_cast<double>(max_c) / total);
-        g_json.add("lb", std::string("img-dnn/") +
-                             net::lbPolicyName(policy), r2, 0.0);
+        g_json.add("lb", std::string("img-dnn/") + net::lbPolicyName(policy),
+                   "r2", r2);
     }
 
     std::printf("\nExpected shape: least-connections shifts completions "

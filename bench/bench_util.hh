@@ -242,6 +242,12 @@ class JsonRows
                          b, false, 0, 0.0});
     }
 
+    /** Row holding the one value @p a, stored under @p key. */
+    void add(std::string part, std::string label, const char *key, double a)
+    {
+        add(std::move(part), std::move(label), key, a, nullptr, 0.0);
+    }
+
     /** Lifecycle row (adds crashes + downtime). */
     void addLifecycle(std::string part, std::string label, double r2,
                       double degraded_fraction, std::uint64_t crashes,
@@ -268,9 +274,10 @@ class JsonRows
             const char *sep = i + 1 < rows_.size() ? "," : "";
             std::fprintf(f,
                          "    {\"part\": \"%s\", \"label\": \"%s\", "
-                         "\"%s\": %.6f, \"%s\": %.6f",
-                         r.part.c_str(), r.label.c_str(), r.keyA, r.a,
-                         r.keyB, r.b);
+                         "\"%s\": %.6f",
+                         r.part.c_str(), r.label.c_str(), r.keyA, r.a);
+            if (r.keyB)
+                std::fprintf(f, ", \"%s\": %.6f", r.keyB, r.b);
             if (r.lifecycle) {
                 std::fprintf(f, ", \"crashes\": %llu, \"downtimeMs\": %.3f",
                              static_cast<unsigned long long>(r.crashes),
@@ -290,7 +297,7 @@ class JsonRows
         std::string label;
         const char *keyA = "r2";
         double a = 0.0;
-        const char *keyB = "degradedFraction";
+        const char *keyB = "degradedFraction"; ///< null: one-value row
         double b = 0.0;
         bool lifecycle = false;
         std::uint64_t crashes = 0;

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full pre-merge check: Release build + tier-1 tests (library probes on
 # the default native engine, the engine-equality suite against the
-# reference interpreter), the figure-, chaos- and sched-bench golden
-# hashes and benchmark workload digests, sanitizer build + tier-1 tests +
-# the examples and golden-hashed benches under the sanitizers, then
+# reference interpreter), the figure-, chaos-, sched- and fleet-bench
+# golden hashes and benchmark workload digests, sanitizer build + tier-1
+# tests + the examples and golden-hashed benches under the sanitizers, then
 # the gated host-perf report (BENCH_perf.json), the gated scale report
 # (BENCH_scale.json: scalar per-event tracepoint dispatch, the path
 # every experiment takes), the closed-loop control report
@@ -112,6 +112,16 @@ echo "== Sched-bench golden hash =="
 "$repo/build-check/bench/bench_runqlat" > "$tmp/bench_runqlat"
 (cd "$tmp" && sha256sum -c "$repo/scripts/sched_bench_golden.sha256")
 
+# bench_fleet, bench_colocation and bench_control run the tenant-scoped
+# agent on GPS fleets, co-located tenants and the closed loop, which no
+# other hash reaches. Their stdout (no --json) is pinned the same way and
+# reads the same at REQOBS_JOBS=1 and 4.
+echo "== Fleet-bench golden hashes =="
+for bench in bench_fleet bench_colocation bench_control; do
+    "$repo/build-check/bench/$bench" > "$tmp/$bench"
+done
+(cd "$tmp" && sha256sum -c "$repo/scripts/fleet_bench_golden.sha256")
+
 # The figure hashes never reach the cluster, discrete-scheduler and
 # front-door paths; the benchmark's four workloads do. Their result
 # digests at a fixed seed and scale are the same byte contract there.
@@ -156,7 +166,7 @@ if [ "$run_sanitize" = 1 ]; then
     # simulation once its components start being destroyed (DESIGN.md
     # §16). That rule binds every program that builds a simulation, and
     # ctest runs none of the examples or benches, so run the five
-    # examples and the eight golden-hashed benches here too. The build
+    # examples and the eleven golden-hashed benches here too. The build
     # makes every sanitizer report fatal, so a report is a non-zero exit
     # and stops the script; the benches must also print the golden bytes.
     echo "== Sanitizer examples + golden benches =="
@@ -168,13 +178,14 @@ if [ "$run_sanitize" = 1 ]; then
     for bench in bench_fig1_trace bench_fig2_rps_correlation \
         bench_fig3_send_variance bench_fig4_epoll_duration \
         bench_fig5_loss_tail bench_fault_matrix bench_supervisor \
-        bench_runqlat; do
+        bench_runqlat bench_fleet bench_colocation bench_control; do
         "$repo/build-check-asan/bench/$bench" > "$tmp/asan/$bench"
     done
     (cd "$tmp/asan" &&
         sha256sum -c "$repo/scripts/figure_bench_golden.sha256" \
             "$repo/scripts/chaos_bench_golden.sha256" \
-            "$repo/scripts/sched_bench_golden.sha256")
+            "$repo/scripts/sched_bench_golden.sha256" \
+            "$repo/scripts/fleet_bench_golden.sha256")
 
     # ThreadSanitizer over the worker pool, the only multi-threaded
     # code: its batch hand-off and thread budget (WorkerPoolTest, perf

@@ -1,5 +1,8 @@
 #include "core/agent.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "sim/logging.hh"
 
 namespace reqobs::core {
@@ -144,10 +147,27 @@ ObservabilityAgent::ObservabilityAgent(kernel::Kernel &kernel,
                                        kernel::Pid tgid,
                                        const SyscallProfile &profile,
                                        const AgentConfig &config)
-    : kernel_(kernel), tgid_(tgid), profile_(profile), config_(config),
-      metrics_(config)
+    : ObservabilityAgent(kernel, {{std::string(), tgid, profile}}, false,
+                         config)
+{}
+
+ObservabilityAgent::ObservabilityAgent(kernel::Kernel &kernel,
+                                       std::vector<TenantBinding> tenants,
+                                       const AgentConfig &config)
+    : ObservabilityAgent(kernel, std::move(tenants), true, config)
+{}
+
+ObservabilityAgent::ObservabilityAgent(kernel::Kernel &kernel,
+                                       std::vector<TenantBinding> tenants,
+                                       bool scoped, const AgentConfig &config)
+    : kernel_(kernel), tenants_(std::move(tenants)), scoped_(scoped),
+      config_(config)
 {
+    if (tenants_.empty())
+        sim::fatal("ObservabilityAgent: need at least one tenant");
     runtime_ = std::make_unique<ebpf::EbpfRuntime>(kernel, config.runtime);
+    metrics_.assign(tenants_.size(), TenantMetrics(config));
+    now_.assign(tenants_.size(), FamilyCounters{});
 }
 
 ObservabilityAgent::~ObservabilityAgent() { stop(); }
@@ -155,12 +175,15 @@ ObservabilityAgent::~ObservabilityAgent() { stop(); }
 void
 ObservabilityAgent::start()
 {
+    namespace probes = ebpf::probes;
     if (running_)
         sim::fatal("ObservabilityAgent: start() called twice");
 
-    sendMaps_ = ebpf::probes::createDeltaMaps(*runtime_, "send");
-    recvMaps_ = ebpf::probes::createDeltaMaps(*runtime_, "recv");
-    pollMaps_ = ebpf::probes::createDurationMaps(*runtime_, "poll");
+    // At one slot the tenant maps are exactly the Listing-1 maps.
+    const auto n = static_cast<std::uint32_t>(tenants_.size());
+    sendMaps_ = probes::createTenantDeltaMaps(*runtime_, n, "send");
+    recvMaps_ = probes::createTenantDeltaMaps(*runtime_, n, "recv");
+    pollMaps_ = probes::createTenantDurationMaps(*runtime_, n, "poll");
 
     // Returns whether the probe is live. A rejected or fault-failed
     // attach is fatal unless the agent is configured for
@@ -179,36 +202,99 @@ ObservabilityAgent::start()
         }
         return true;
     };
+    using kernel::TracepointId;
 
-    const unsigned shift = ebpf::probes::kDeltaShift;
+    const unsigned shift = probes::kDeltaShift;
     const bool guarded = config_.guardedProbes;
     health_ = AgentHealth{};
-    health_.sendAttached =
-        attach(ebpf::probes::buildDeltaExit(*runtime_, tgid_,
-                                            profile_.sendFamily, sendMaps_,
-                                            shift, guarded),
-               "send.delta_exit", kernel::TracepointId::SysExit);
-    health_.recvAttached =
-        attach(ebpf::probes::buildDeltaExit(*runtime_, tgid_,
-                                            profile_.recvFamily, recvMaps_,
-                                            shift, guarded),
-               "recv.delta_exit", kernel::TracepointId::SysExit);
-    const bool poll_enter =
-        attach(ebpf::probes::buildDurationEnter(*runtime_, tgid_,
-                                                profile_.pollSyscall,
-                                                pollMaps_),
-               "poll.duration_enter", kernel::TracepointId::SysEnter);
-    const bool poll_exit =
-        attach(ebpf::probes::buildDurationExit(*runtime_, tgid_,
-                                               profile_.pollSyscall,
-                                               pollMaps_, shift, guarded),
-               "poll.duration_exit", kernel::TracepointId::SysExit);
+    bool poll_enter = false;
+    bool poll_exit = false;
+    if (!scoped_) {
+        const kernel::Pid tgid = tenants_[0].tgid;
+        const SyscallProfile &profile = tenants_[0].profile;
+        health_.sendAttached =
+            attach(probes::buildDeltaExit(*runtime_, tgid,
+                                          profile.sendFamily, sendMaps_,
+                                          shift, guarded),
+                   "send.delta_exit", TracepointId::SysExit);
+        health_.recvAttached =
+            attach(probes::buildDeltaExit(*runtime_, tgid,
+                                          profile.recvFamily, recvMaps_,
+                                          shift, guarded),
+                   "recv.delta_exit", TracepointId::SysExit);
+        poll_enter = attach(probes::buildDurationEnter(*runtime_, tgid,
+                                                       profile.pollSyscall,
+                                                       pollMaps_),
+                            "poll.duration_enter", TracepointId::SysEnter);
+        poll_exit = attach(probes::buildDurationExit(*runtime_, tgid,
+                                                     profile.pollSyscall,
+                                                     pollMaps_, shift,
+                                                     guarded),
+                           "poll.duration_exit", TracepointId::SysExit);
+    } else {
+        // One tenant set shared by every probe; slot i <-> tenants_[i].
+        // Families are the union of the tenants' vocabularies: the
+        // prologue attributes by tgid, and a tenant only executes its
+        // own vocabulary, so the union loses nothing and adds nothing.
+        probes::TenantSet set;
+        std::vector<std::int64_t> send_family;
+        std::vector<std::int64_t> recv_family;
+        auto add_unique = [](std::vector<std::int64_t> &v, std::int64_t id) {
+            if (std::find(v.begin(), v.end(), id) == v.end())
+                v.push_back(id);
+        };
+        for (const TenantBinding &t : tenants_) {
+            set.tgids.push_back(static_cast<std::uint32_t>(t.tgid));
+            set.pollSyscalls.push_back(t.profile.pollSyscall);
+            for (std::int64_t id : t.profile.sendFamily)
+                add_unique(send_family, id);
+            for (std::int64_t id : t.profile.recvFamily)
+                add_unique(recv_family, id);
+        }
+
+        if (config_.heavyHitterSketch) {
+            sketchFd_ = probes::createTenantSketchMap(
+                *runtime_, config_.sketchStages, config_.sketchWidth, "send");
+            attach(probes::buildTenantHeavyHitter(*runtime_, set,
+                                                  send_family, sketchFd_),
+                   "send.heavy_hitter", TracepointId::SysExit);
+        }
+        health_.sendAttached =
+            attach(probes::buildTenantDeltaExit(*runtime_, set, send_family,
+                                                sendMaps_, shift, guarded),
+                   "send.delta_exit", TracepointId::SysExit);
+        health_.recvAttached =
+            attach(probes::buildTenantDeltaExit(*runtime_, set, recv_family,
+                                                recvMaps_, shift, guarded),
+                   "recv.delta_exit", TracepointId::SysExit);
+        poll_enter =
+            attach(probes::buildTenantDurationEnter(*runtime_, set, pollMaps_),
+                   "poll.duration_enter", TracepointId::SysEnter);
+        poll_exit = attach(probes::buildTenantDurationExit(
+                               *runtime_, set, pollMaps_, shift, guarded),
+                           "poll.duration_exit", TracepointId::SysExit);
+        if (config_.runqlatHistogram) {
+            runqMaps_ = probes::createRunqlatMaps(*runtime_, n, "runq");
+            // The wakeup half goes on both wakeup tracepoints (same
+            // bytecode, two attachments — exactly how the real runqlat
+            // tool loads one program twice).
+            attach(probes::buildRunqlatWakeup(*runtime_, runqMaps_),
+                   "runq.wakeup", TracepointId::SchedWakeup);
+            attach(probes::buildRunqlatWakeup(*runtime_, runqMaps_),
+                   "runq.wakeup_new", TracepointId::SchedWakeupNew);
+            attach(probes::buildRunqlatSwitch(*runtime_, set, runqMaps_),
+                   "runq.switch", TracepointId::SchedSwitch);
+            runqSnap_.assign(n * probes::kRunqlatBuckets, 0);
+            runqWindow_.assign(probes::kRunqlatBuckets, 0);
+        }
+    }
     health_.pollAttached = poll_enter && poll_exit;
 
     running_ = true;
     backoff_ = 1;
     tearNextWindow_ = false;
-    metrics_.reseed(FamilyCounters{}, *runtime_, health_);
+    for (TenantMetrics &m : metrics_)
+        m.reseed(FamilyCounters{}, *runtime_, health_);
     scheduleSample();
 }
 
@@ -223,9 +309,29 @@ ObservabilityAgent::stop()
 }
 
 SyscallStats
-ObservabilityAgent::readStats(int fd) const
+ObservabilityAgent::readStats(int fd, std::size_t slot) const
 {
-    return runtime_->arrayAt(fd).at<SyscallStats>(0);
+    return runtime_->arrayAt(fd).at<SyscallStats>(
+        static_cast<std::uint32_t>(slot));
+}
+
+std::uint64_t
+ObservabilityAgent::closeRunqWindow(std::size_t slot)
+{
+    // Difference the slot's cumulative histogram against its window
+    // start into runqWindow_, then advance the start.
+    constexpr unsigned kBuckets = ebpf::probes::kRunqlatBuckets;
+    ebpf::ArrayMap &hist = runtime_->arrayAt(runqMaps_.histFd);
+    std::uint64_t *start = runqSnap_.data() + slot * kBuckets;
+    std::uint64_t count = 0;
+    for (unsigned b = 0; b < kBuckets; ++b) {
+        const auto now = hist.at<std::uint64_t>(
+            static_cast<std::uint32_t>(slot * kBuckets + b));
+        runqWindow_[b] = now - start[b];
+        count += runqWindow_[b];
+        start[b] = now;
+    }
+    return count;
 }
 
 void
@@ -243,94 +349,142 @@ ObservabilityAgent::scheduleSample()
 void
 ObservabilityAgent::takeSample()
 {
-    // A detached family's map never advances; reading it anyway would
-    // only feed zero windows. Partial-operation mode: read what's live.
-    FamilyCounters now;
-    if (health_.sendAttached)
-        now.send = readStats(sendMaps_.statsFd);
-    if (health_.recvAttached)
-        now.recv = readStats(recvMaps_.statsFd);
-    if (health_.pollAttached)
-        now.poll = readStats(pollMaps_.statsFd);
-
+    // Read every slot first, so loss proration knows each emitting
+    // slot's share of the tick's fresh events. A detached family's map
+    // never advances; reading it anyway would only feed zero windows.
+    // Partial-operation mode: read what's live.
+    //
     // A cumulative counter moving backwards means the kernel-side map
     // state was reset under us (a wiped map / lost pin across a
     // restart). Differencing across the reset would wrap the u64 into
     // an astronomical window; a restart-spanning window (marked torn by
-    // the supervisor) likewise holds one outage-wide delta. Both tear
-    // down exactly this window: reseed every snapshot, emit nothing.
-    const FamilyCounters &start = metrics_.windowStart();
-    const bool regressed =
-        (health_.sendAttached && now.send.count < start.send.count) ||
-        (health_.recvAttached && now.recv.count < start.recv.count) ||
-        (health_.pollAttached && now.poll.count < start.poll.count);
+    // the supervisor) likewise holds one outage-wide delta.
+    const std::size_t n = metrics_.size();
+    bool regressed = false;
+    bool any_fresh = false;
+    std::uint64_t total_fresh = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        FamilyCounters &now = now_[i];
+        if (health_.sendAttached)
+            now.send = readStats(sendMaps_.statsFd, i);
+        if (health_.recvAttached)
+            now.recv = readStats(recvMaps_.statsFd, i);
+        if (health_.pollAttached)
+            now.poll = readStats(pollMaps_.statsFd, i);
+        const FamilyCounters &start = metrics_[i].windowStart();
+        regressed = regressed ||
+                    (health_.sendAttached &&
+                     now.send.count < start.send.count) ||
+                    (health_.recvAttached &&
+                     now.recv.count < start.recv.count) ||
+                    (health_.pollAttached &&
+                     now.poll.count < start.poll.count);
+        const std::uint64_t fresh = metrics_[i].fresh(now, health_);
+        total_fresh += fresh;
+        any_fresh = any_fresh || fresh >= config_.minWindowSyscalls;
+    }
+
+    // Both tear down exactly this tick's windows: reseed every slot,
+    // emit nothing, leave the backoff as it is.
     if (regressed || tearNextWindow_) {
         tearNextWindow_ = false;
         ++health_.discontinuities;
-        metrics_.reseed(now, *runtime_, health_);
+        for (std::size_t i = 0; i < n; ++i) {
+            metrics_[i].reseed(now_[i], *runtime_, health_);
+            if (runqMaps_.histFd >= 0)
+                closeRunqWindow(i);
+        }
         return;
     }
 
-    // Freshness gate. With everything detached every window is stale
-    // and the agent idles at maximum backoff instead of crashing.
-    if (metrics_.fresh(now, health_) < config_.minWindowSyscalls) {
-        // keep accumulating this window
-        ++health_.staleWindows;
-        if (config_.staleBackoff && backoff_ < config_.maxBackoffFactor)
-            backoff_ *= 2;
-        health_.backoffFactor = backoff_;
-        return;
-    }
-    backoff_ = 1;
+    // Freshness gate, per slot: a quiet tenant keeps accumulating its
+    // window while busy neighbours sample normally. The sampler backs
+    // off only when every slot is stale; with everything detached that
+    // is every tick, and the agent idles at maximum backoff instead of
+    // crashing.
+    if (any_fresh)
+        backoff_ = 1;
+    else if (config_.staleBackoff && backoff_ < config_.maxBackoffFactor)
+        backoff_ *= 2;
     health_.backoffFactor = backoff_;
 
-    const MetricsSample s =
-        metrics_.observe(kernel_.sim().now(), now, *runtime_, 1.0, health_);
-    if (config_.sampleHook)
-        config_.sampleHook(s);
+    const sim::Tick t = kernel_.sim().now();
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t fresh = metrics_[i].fresh(now_[i], health_);
+        if (fresh < config_.minWindowSyscalls) {
+            ++health_.staleWindows;
+            continue;
+        }
+        // Each emitting slot claims its share of the tick's fresh
+        // events (one slot: exactly 1.0). A tick with none anywhere
+        // (possible only at minWindowSyscalls 0) splits evenly.
+        const double share = total_fresh > 0
+                                 ? static_cast<double>(fresh) /
+                                       static_cast<double>(total_fresh)
+                                 : 1.0 / static_cast<double>(n);
+        std::uint64_t runq_count = 0;
+        double runq_p99 = 0.0;
+        if (runqMaps_.histFd >= 0) {
+            runq_count = closeRunqWindow(i);
+            if (runq_count > 0)
+                runq_p99 = static_cast<double>(
+                    ebpf::probes::runqlatQuantile(runqWindow_, 0.99));
+        }
+        const MetricsSample s = metrics_[i].observe(
+            t, now_[i], *runtime_, share, health_, runq_count, runq_p99);
+        if (config_.sampleHook)
+            config_.sampleHook(s);
+    }
 }
 
 FamilyCounters
-ObservabilityAgent::counters() const
+ObservabilityAgent::counters(std::size_t i) const
 {
-    return {readStats(sendMaps_.statsFd), readStats(recvMaps_.statsFd),
-            readStats(pollMaps_.statsFd)};
+    return {readStats(sendMaps_.statsFd, i), readStats(recvMaps_.statsFd, i),
+            readStats(pollMaps_.statsFd, i)};
 }
 
 double
-ObservabilityAgent::overallObservedRps() const
+ObservabilityAgent::overallObservedRps(std::size_t i) const
 {
-    return wholeRunRps(counters().send);
-}
-
-double
-ObservabilityAgent::overallSendVariance() const
-{
-    return diffStats(SyscallStats{}, counters().send).varianceNs2;
-}
-
-double
-ObservabilityAgent::overallRecvVariance() const
-{
-    return diffStats(SyscallStats{}, counters().recv).varianceNs2;
-}
-
-double
-ObservabilityAgent::overallPollMeanDurationNs() const
-{
-    return wholeRunMeanNs(counters().poll);
+    return wholeRunRps(readStats(sendMaps_.statsFd, i));
 }
 
 std::uint64_t
-ObservabilityAgent::sendSyscalls() const
+ObservabilityAgent::sendSyscalls(std::size_t i) const
 {
-    return counters().send.count;
+    return readStats(sendMaps_.statsFd, i).count;
+}
+
+double
+ObservabilityAgent::overallRunqP99Ns(std::size_t i) const
+{
+    if (runqMaps_.histFd < 0)
+        return 0.0;
+    return static_cast<double>(ebpf::probes::runqlatQuantile(
+        ebpf::probes::readRunqlatHist(*runtime_, runqMaps_,
+                                      static_cast<std::uint32_t>(i)),
+        0.99));
+}
+
+std::vector<std::pair<std::uint32_t, std::uint64_t>>
+ObservabilityAgent::topTenants(std::size_t k) const
+{
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+    if (sketchFd_ < 0)
+        return out;
+    for (const auto &[key, count] : runtime_->sketchAt(sketchFd_).topK(k)) {
+        std::uint32_t slot;
+        std::memcpy(&slot, key.data(), sizeof(slot));
+        out.emplace_back(slot, count);
+    }
+    return out;
 }
 
 AgentCheckpoint
 ObservabilityAgent::checkpoint() const
 {
-    return metrics_.checkpoint(health_);
+    return metrics_[0].checkpoint(health_);
 }
 
 void
@@ -341,7 +495,7 @@ ObservabilityAgent::restore(const AgentCheckpoint &ckpt)
     health_.staleWindows = ckpt.health.staleWindows;
     health_.discontinuities = ckpt.health.discontinuities;
     health_.lossCorrectedEvents = ckpt.health.lossCorrectedEvents;
-    metrics_.restore(ckpt, *runtime_, health_);
+    metrics_[0].restore(ckpt, *runtime_, health_);
 }
 
 } // namespace reqobs::core

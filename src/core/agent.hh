@@ -11,10 +11,12 @@
  * estimators — no userspace cooperation from the observed application
  * anywhere in the path.
  *
- * TenantMetrics is that window stage for one tenant: window-start
- * snapshots, the loss-aware reconstruction and the estimator chain.
- * ObservabilityAgent runs one; MultiTenantAgent (core/tenant_metrics)
- * runs one per tenant slot.
+ * The agent samples N tenant slots, each through its own TenantMetrics:
+ * window-start snapshots, the loss-aware reconstruction and the
+ * estimator chain. Built for one application it attaches the paper's
+ * Listing-1 programs; built from TenantBindings it attaches the
+ * tenant-scoped set, one program per family serving every co-located
+ * tenant, one stats slot each (DESIGN.md §10).
  */
 
 #ifndef REQOBS_CORE_AGENT_HH
@@ -24,6 +26,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/estimators.hh"
@@ -76,13 +80,15 @@ struct AgentConfig
     /** @} */
 
     /**
-     * @name Heavy-hitter sketch (MultiTenantAgent only).
+     * @name Heavy-hitter sketch (tenant-scoped form only).
      *
      * Attach an extra in-kernel probe that counts send-family events
      * per tenant slot in an eHashPipe-style hash pipe, so a controller
      * finds the noisiest tenants via SketchMap::topK() without reading
      * every stats slot. Off by default: the extra probe costs per-event
-     * time, so existing runs are unchanged.
+     * time, so existing runs are unchanged. The Listing-1 form ignores
+     * it and attaches its four programs only (tests/scale_test.cc pins
+     * the count).
      * @{
      */
     bool heavyHitterSketch = false;
@@ -91,13 +97,14 @@ struct AgentConfig
     /** @} */
 
     /**
-     * Run-queue latency histogram (MultiTenantAgent only). Attaches the
-     * runqlat probe pair to the sched tracepoints and stamps a
-     * per-tenant run-queue wait p99 onto every sample — the fourth
-     * metric family next to Eq. 1, Eq. 2 and epoll slack. Only
-     * meaningful under SchedModel::Discrete: the GPS fluid model never
-     * fires sched tracepoints, so the histogram stays empty. Off by
-     * default (attached probes change event costs).
+     * Run-queue latency histogram (tenant-scoped form only; the
+     * Listing-1 form ignores it). Attaches the runqlat probe pair to
+     * the sched tracepoints and stamps a per-tenant run-queue wait p99
+     * onto every sample — the fourth metric family next to Eq. 1,
+     * Eq. 2 and epoll slack. Only meaningful under
+     * SchedModel::Discrete: the GPS fluid model never fires sched
+     * tracepoints, so the histogram stays empty. Off by default
+     * (attached probes change event costs).
      */
     bool runqlatHistogram = false;
 
@@ -252,16 +259,33 @@ class TenantMetrics
     std::vector<MetricsSample> samples_;
 };
 
+/** Probe bindings for one tenant on a machine. */
+struct TenantBinding
+{
+    std::string name;       ///< workload name (labels/results)
+    kernel::Pid tgid = 0;   ///< the tenant process the probes filter on
+    SyscallProfile profile; ///< its syscall vocabulary
+};
+
 /** See file comment. */
 class ObservabilityAgent
 {
   public:
     /**
+     * Listing-1 form: one slot, the paper's probes.
      * @param tgid    The observed application's process id.
      * @param profile Which syscalls carry its request signal.
      */
     ObservabilityAgent(kernel::Kernel &kernel, kernel::Pid tgid,
                        const SyscallProfile &profile,
+                       const AgentConfig &config = {});
+
+    /**
+     * Tenant-scoped form: one probe set for every tenant on the
+     * machine; slot i of every map belongs to @p tenants [i].
+     */
+    ObservabilityAgent(kernel::Kernel &kernel,
+                       std::vector<TenantBinding> tenants,
                        const AgentConfig &config = {});
 
     ~ObservabilityAgent();
@@ -277,41 +301,51 @@ class ObservabilityAgent
 
     bool running() const { return running_; }
 
-    /** @name Live estimates. @{ */
-    const RpsEstimator &rps() const { return metrics_.rps(); }
+    /** Slot @p i's window stage: its samples and live estimates. */
+    const TenantMetrics &tenant(std::size_t i = 0) const
+    {
+        return metrics_[i];
+    }
+
+    /** @name Slot 0's live estimates and emitted samples. @{ */
+    const RpsEstimator &rps() const { return tenant().rps(); }
     const SaturationDetector &saturation() const
     {
-        return metrics_.saturation();
+        return tenant().saturation();
     }
     const SlackEstimator &slackEstimator() const
     {
-        return metrics_.slackEstimator();
+        return tenant().slackEstimator();
     }
-    /** @} */
-
-    /** All emitted samples. */
     const std::vector<MetricsSample> &samples() const
     {
-        return metrics_.samples();
+        return tenant().samples();
     }
-
-    /** Live pipeline self-diagnostics. */
-    const AgentHealth &health() const { return health_; }
-
-    /** @name Whole-run aggregates from the cumulative kernel counters. @{ */
-    /** The three families' cumulative counters as the maps hold them. */
-    FamilyCounters counters() const;
-    double overallObservedRps() const;
-    double overallSendVariance() const;
-    double overallRecvVariance() const;
-    double overallPollMeanDurationNs() const;
-    std::uint64_t sendSyscalls() const;
     /** @} */
 
-    ebpf::EbpfRuntime &runtime() { return *runtime_; }
-    const SyscallProfile &profile() const { return profile_; }
+    /** Live pipeline self-diagnostics (machine-wide). */
+    const AgentHealth &health() const { return health_; }
 
-    /** @name Crash-recovery support (see core/supervisor). @{ */
+    /** @name Whole-run aggregates from slot @p i's cumulative counters. @{ */
+    /** The three families' cumulative counters as the maps hold them. */
+    FamilyCounters counters(std::size_t i = 0) const;
+    double overallObservedRps(std::size_t i = 0) const;
+    std::uint64_t sendSyscalls(std::size_t i = 0) const;
+    /** Whole-run run-queue wait p99 (0 without runqlatHistogram). */
+    double overallRunqP99Ns(std::size_t i = 0) const;
+    /** @} */
+
+    /**
+     * Noisiest tenants by in-kernel send-event count, read from the
+     * heavy-hitter sketch: (tenant slot, approximate count) sorted
+     * descending. Empty unless AgentConfig::heavyHitterSketch.
+     */
+    std::vector<std::pair<std::uint32_t, std::uint64_t>>
+    topTenants(std::size_t k) const;
+
+    ebpf::EbpfRuntime &runtime() { return *runtime_; }
+
+    /** @name Crash-recovery support for slot 0 (see core/supervisor). @{ */
 
     /** Snapshot the userspace state (estimators + counter snapshots). */
     AgentCheckpoint checkpoint() const;
@@ -342,15 +376,21 @@ class ObservabilityAgent
     /** @} */
 
   private:
+    ObservabilityAgent(kernel::Kernel &kernel,
+                       std::vector<TenantBinding> tenants, bool scoped,
+                       const AgentConfig &config);
+
     kernel::Kernel &kernel_;
-    kernel::Pid tgid_;
-    SyscallProfile profile_;
+    std::vector<TenantBinding> tenants_;
+    bool scoped_; ///< tenant-scoped probes (else Listing-1)
     AgentConfig config_;
     std::unique_ptr<ebpf::EbpfRuntime> runtime_;
 
     ebpf::probes::DeltaMaps sendMaps_;
     ebpf::probes::DeltaMaps recvMaps_;
     ebpf::probes::DurationMaps pollMaps_;
+    int sketchFd_ = -1; ///< heavy-hitter sketch (when enabled)
+    ebpf::probes::RunqlatMaps runqMaps_; ///< runqlat pair (when enabled)
 
     bool running_ = false;
     sim::EventId sampleTimer_;
@@ -358,9 +398,23 @@ class ObservabilityAgent
     unsigned backoff_ = 1; ///< current samplePeriod multiplier
 
     bool tearNextWindow_ = false;
-    TenantMetrics metrics_;
+    std::vector<TenantMetrics> metrics_;
 
-    ebpf::probes::SyscallStats readStats(int fd) const;
+    /**
+     * @name Per-tick scratch: the sampler allocates nothing.
+     * now_ is sized at construction, the run-queue pair in start() with
+     * its maps. Sizing now_ in start() read ≈ 7% slower on colo-antag,
+     * a heap-layout effect (EXPERIMENTS.md, "One agent").
+     * @{
+     */
+    std::vector<FamilyCounters> now_;
+    /** Run-queue histograms at window start, kRunqlatBuckets per slot. */
+    std::vector<std::uint64_t> runqSnap_;
+    std::vector<std::uint64_t> runqWindow_;
+    /** @} */
+
+    ebpf::probes::SyscallStats readStats(int fd, std::size_t slot) const;
+    std::uint64_t closeRunqWindow(std::size_t slot);
     void scheduleSample();
     void takeSample();
 };

@@ -54,11 +54,8 @@ liftDegenerate(const ClusterExperimentConfig &config,
     m.completed = res.completed;
     m.sendVarNs2 = res.sendVarNs2;
     m.pollMeanDurNs = res.pollMeanDurNs;
-    // The single-tenant agent doesn't expose its cumulative map counter
-    // through ExperimentResult; the windowed sum is the close equivalent.
-    for (const MetricsSample &s : res.samples)
-        m.probeSendSyscalls += s.send.count;
-    m.kernelSyscalls = res.syscalls;
+    m.probeSendSyscalls = res.probeSendSyscalls;
+    m.kernelSyscalls = res.tenantSyscalls;
     m.samples = res.samples.size();
     t.machines.push_back(m);
 
@@ -182,8 +179,8 @@ runClusterExperiment(const ClusterExperimentConfig &config)
         }
     }
 
-    // One multi-tenant agent per machine: one probe set, T stats slots.
-    std::vector<std::unique_ptr<MultiTenantAgent>> agents;
+    // One tenant-scoped agent per machine: one probe set, T stats slots.
+    std::vector<std::unique_ptr<ObservabilityAgent>> agents;
     if (config.attachAgents) {
         agents.reserve(machines.size());
         for (auto &machine : machines) {
@@ -196,7 +193,7 @@ runClusterExperiment(const ClusterExperimentConfig &config)
                 b.profile = profileFor(config.tenants[t].workload);
                 bindings.push_back(std::move(b));
             }
-            agents.push_back(std::make_unique<MultiTenantAgent>(
+            agents.push_back(std::make_unique<ObservabilityAgent>(
                 machine->kernel(), std::move(bindings), config.agent));
         }
     }
@@ -306,11 +303,12 @@ runClusterExperiment(const ClusterExperimentConfig &config)
                 machines[m]->kernel().syscallCountFor(
                     machines[m]->tenant(t).frontPid());
             if (!agents.empty()) {
-                const MultiTenantAgent &agent = *agents[m];
-                mr.observedRps = agent.overallObservedRps(t);
-                mr.sendVarNs2 = agent.overallSendVariance(t);
-                mr.pollMeanDurNs = agent.overallPollMeanDurationNs(t);
-                mr.probeSendSyscalls = agent.sendSyscalls(t);
+                const ObservabilityAgent &agent = *agents[m];
+                const FamilyCounters c = agent.counters(t);
+                mr.observedRps = wholeRunRps(c.send);
+                mr.sendVarNs2 = diffStats({}, c.send).varianceNs2;
+                mr.pollMeanDurNs = wholeRunMeanNs(c.poll);
+                mr.probeSendSyscalls = c.send.count;
                 mr.samples = agent.tenant(t).samples().size();
                 mr.runqP99Ns = agent.overallRunqP99Ns(t);
                 agg.addSeries(m, agent.tenant(t).samples());

@@ -1,8 +1,8 @@
 /**
  * @file
  * Cluster experiment harness: N machines × T co-located tenants, one
- * load-balanced client population per tenant, one MultiTenantAgent per
- * machine, fleet-level aggregation on top.
+ * load-balanced client population per tenant, one tenant-scoped
+ * ObservabilityAgent per machine, fleet-level aggregation on top.
  *
  * runExperiment() is the degenerate case of this harness: one machine,
  * one tenant, no antagonist. runClusterExperiment() detects that case
@@ -21,7 +21,6 @@
 #include "core/controller.hh"
 #include "core/experiment.hh"
 #include "core/fleet.hh"
-#include "core/tenant_metrics.hh"
 #include "net/load_balancer.hh"
 #include "workload/machine.hh"
 

@@ -7,7 +7,7 @@
  * argues these feedback-free QoS signals exist precisely to drive
  * decisions without touching the application. FleetController closes
  * that loop: it consumes the per-tenant estimates the
- * MultiTenantAgent/FleetAggregator pipeline already produces (including
+ * ObservabilityAgent/FleetAggregator pipeline already produces (including
  * the loss-aware reconstructed windows) and drives three actuators —
  *
  *  1. admission control: per-tenant shed probability at the client's

@@ -144,11 +144,19 @@ runExperiment(const ExperimentConfig &config)
     res.qosViolated = gen.qosViolated();
     res.syscalls = kernel.syscallCount();
 
+    res.tenantSyscalls = kernel.syscallCountFor(app.frontPid());
+
+    if (agent || sup) {
+        // The supervisor's counters fall back to its last map snapshot
+        // when no incarnation is live.
+        const FamilyCounters c = agent ? agent->counters() : sup->counters();
+        res.observedRps = wholeRunRps(c.send);
+        res.sendVarNs2 = diffStats({}, c.send).varianceNs2;
+        res.recvVarNs2 = diffStats({}, c.recv).varianceNs2;
+        res.pollMeanDurNs = wholeRunMeanNs(c.poll);
+        res.probeSendSyscalls = c.send.count;
+    }
     if (agent) {
-        res.observedRps = agent->overallObservedRps();
-        res.sendVarNs2 = agent->overallSendVariance();
-        res.recvVarNs2 = agent->overallRecvVariance();
-        res.pollMeanDurNs = agent->overallPollMeanDurationNs();
         res.samples = agent->samples();
         res.probeEvents = agent->runtime().eventsProcessed();
         res.probeInsns = agent->runtime().insnsInterpreted();
@@ -158,10 +166,6 @@ runExperiment(const ExperimentConfig &config)
         res.probeRingbufDrops = agent->runtime().ringbufDrops();
         agent->stop();
     } else if (sup) {
-        res.observedRps = sup->overallObservedRps();
-        res.sendVarNs2 = sup->overallSendVariance();
-        res.recvVarNs2 = sup->overallRecvVariance();
-        res.pollMeanDurNs = sup->overallPollMeanDurationNs();
         res.samples = sup->samples();
         res.probeEvents = sup->probeEvents();
         res.probeInsns = sup->probeInsns();

@@ -137,6 +137,15 @@ struct ExperimentResult
     std::uint64_t stormFailed = 0;         ///< storm conns given up on
     std::uint64_t stormConnP99Ns = 0;      ///< SYN -> response, client side
     /** @} */
+
+    /** @name Attribution cross-check: the pair the cluster harness
+     *  reports per machine. @{ */
+    /** Send-family syscalls in the agent's cumulative stats slot (zero
+     *  without an agent). */
+    std::uint64_t probeSendSyscalls = 0;
+    /** Syscalls the kernel dispatched for the tenant's front process. */
+    std::uint64_t tenantSyscalls = 0;
+    /** @} */
 };
 
 /** Per-workload default p99 QoS threshold. */

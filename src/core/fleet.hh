@@ -2,12 +2,12 @@
  * @file
  * Fleet-level merging of per-machine metric streams.
  *
- * Each machine's MultiTenantAgent emits MetricsSamples on its own
- * timeline. FleetAggregator aligns them on fixed time buckets and merges
- * per bucket: observed RPS adds across machines (Eq. 1 is a rate),
- * variance pools weighted by window event count, and slack takes the
- * fleet minimum (the fleet is as close to saturation as its tightest
- * machine). Buckets missing a machine's sample still merge — a fleet
+ * Each machine's tenant-scoped ObservabilityAgent emits MetricsSamples
+ * on its own timeline. FleetAggregator aligns them on fixed time
+ * buckets and merges per bucket: observed RPS adds across machines
+ * (Eq. 1 is a rate), variance pools weighted by window event count, and
+ * slack takes the fleet minimum (the fleet is as close to saturation as
+ * its tightest machine). Buckets missing a machine's sample still merge — a fleet
  * consumer can't wait for stragglers — with the contributor count
  * recorded so consumers can tell a quiet machine from a missing one.
  */

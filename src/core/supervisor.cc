@@ -284,36 +284,6 @@ Supervisor::counters() const
             snapStats("poll.stats")};
 }
 
-double
-Supervisor::overallObservedRps() const
-{
-    return wholeRunRps(counters().send);
-}
-
-double
-Supervisor::overallSendVariance() const
-{
-    return diffStats(SyscallStats{}, counters().send).varianceNs2;
-}
-
-double
-Supervisor::overallRecvVariance() const
-{
-    return diffStats(SyscallStats{}, counters().recv).varianceNs2;
-}
-
-double
-Supervisor::overallPollMeanDurationNs() const
-{
-    return wholeRunMeanNs(counters().poll);
-}
-
-std::uint64_t
-Supervisor::sendSyscalls() const
-{
-    return counters().send.count;
-}
-
 std::uint64_t
 Supervisor::probeEvents() const
 {

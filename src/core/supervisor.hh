@@ -118,16 +118,11 @@ class Supervisor
     /** Times each incarnation was (re)started — start() included. */
     const std::vector<sim::Tick> &startTimes() const { return startTimes_; }
 
-    /** @name Whole-run aggregates, robust to a dead agent (they fall
-     *  back to the last map snapshot). Semantics match the agent's. @{ */
-    /** The live agent's cumulative counters, else the snapshot's. */
+    /**
+     * Whole-run cumulative counters, robust to a dead agent: the live
+     * agent's, else those of the last map snapshot.
+     */
     FamilyCounters counters() const;
-    double overallObservedRps() const;
-    double overallSendVariance() const;
-    double overallRecvVariance() const;
-    double overallPollMeanDurationNs() const;
-    std::uint64_t sendSyscalls() const;
-    /** @} */
 
     /** @name Runtime counters accumulated across incarnations. @{ */
     std::uint64_t probeEvents() const;

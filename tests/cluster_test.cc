@@ -2,13 +2,15 @@
  * @file
  * Fleet-layer tests: tenant-scoped probe bytecode (verified tgid
  * attribution), the load balancer, fleet sample aggregation, the
- * multi-tenant agent's loss reporting, the cluster experiment harness
- * (including its degenerate single-machine equivalence with
- * runExperiment), and cluster sweeps on the worker pool.
+ * tenant-scoped agent's loss reporting, torn windows and heavy-hitter
+ * ranking, the cluster experiment harness (including its degenerate
+ * single-machine equivalence with runExperiment), and cluster sweeps on
+ * the worker pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -234,7 +236,7 @@ TEST(FleetAggregatorTest, LatestSampleWinsWithinBucket)
 // ---------------------------------------------------------------------
 // Cluster harness.
 
-TEST(MultiTenantAgentTest, StampsProbeLossOnEveryWindow)
+TEST(TenantScopedAgentTest, StampsProbeLossOnEveryWindow)
 {
     // Missed probe runs must reach every emitted sample's health whether
     // or not the loss-aware correction is on: FleetController's
@@ -253,7 +255,7 @@ TEST(MultiTenantAgentTest, StampsProbeLossOnEveryWindow)
     fault::FaultInjector inj(plan, sim.forkRng());
     core::AgentConfig ac;
     ASSERT_FALSE(ac.lossAware);
-    core::MultiTenantAgent agent(
+    core::ObservabilityAgent agent(
         machine.kernel(), {{wl.name, app.frontPid(), core::profileFor(wl)}},
         ac);
     agent.runtime().setFaultInjector(&inj);
@@ -274,6 +276,110 @@ TEST(MultiTenantAgentTest, StampsProbeLossOnEveryWindow)
     EXPECT_EQ(agent.health().probeMisses, prev);
     EXPECT_LE(prev, agent.runtime().probeMisses());
     EXPECT_EQ(agent.health().lossCorrectedEvents, 0u);
+}
+
+/** Two img-dnn tenants on one machine, at @p frac_a and @p frac_b of
+ *  saturation, each behind its own client. */
+struct TwoTenantMachine
+{
+    sim::Simulation sim{5};
+    workload::Machine machine{sim};
+    workload::WorkloadConfig wl = workload::workloadByName("img-dnn");
+    workload::ServerApp &a = machine.addTenant(wl);
+    workload::ServerApp &b = machine.addTenant(wl);
+    client::LoadGenerator genA;
+    client::LoadGenerator genB;
+
+    TwoTenantMachine(double frac_a, double frac_b)
+        : genA(sim, a, net::NetemConfig{}, net::TcpConfig{},
+               clientAt(frac_a)),
+          genB(sim, b, net::NetemConfig{}, net::TcpConfig{},
+               clientAt(frac_b))
+    {}
+
+    client::ClientConfig
+    clientAt(double frac) const
+    {
+        client::ClientConfig cc;
+        cc.offeredRps = frac * wl.saturationRps;
+        cc.warmup = 0;
+        return cc;
+    }
+
+    std::vector<core::TenantBinding>
+    bindings() const
+    {
+        return {{"a", a.frontPid(), core::profileFor(wl)},
+                {"b", b.frontPid(), core::profileFor(wl)}};
+    }
+
+    void
+    start(core::ObservabilityAgent &agent)
+    {
+        machine.start();
+        agent.start();
+        genA.start();
+        genB.start();
+    }
+};
+
+TEST(TenantScopedAgentTest, ZeroedSlotTearsExactlyOneTick)
+{
+    // A cumulative counter moving backwards (here one tenant's send slot
+    // zeroed, as a wiped map would be) must tear that tick's windows:
+    // one discontinuity and nothing emitted, rather than a wrapped
+    // window reaching the estimators and the other tenants' loss shares.
+    TwoTenantMachine m(0.3, 0.3);
+    core::AgentConfig ac;
+    ac.minWindowSyscalls = 32; // every tick emits for both tenants
+    core::ObservabilityAgent agent(m.machine.kernel(), m.bindings(), ac);
+    m.start(agent);
+    m.sim.runFor(sim::milliseconds(1050));
+    const std::size_t before[2] = {agent.tenant(0).samples().size(),
+                                   agent.tenant(1).samples().size()};
+    ASSERT_GT(before[0], 5u);
+    ASSERT_GT(before[1], 5u);
+
+    ebpf::EbpfRuntime::MapSnapshot wipe;
+    wipe["send.stats"] = agent.runtime().snapshotMaps().at("send.stats");
+    std::vector<std::uint8_t> &slot0 = wipe["send.stats"].entries.at(0).second;
+    std::fill(slot0.begin(), slot0.end(), 0);
+    agent.runtime().restoreMaps(wipe);
+    const sim::Tick wiped_at = m.sim.now();
+    m.sim.runFor(sim::seconds(1));
+
+    EXPECT_EQ(agent.health().discontinuities, 1u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i);
+        const std::vector<core::MetricsSample> &samples =
+            agent.tenant(i).samples();
+        EXPECT_GT(samples.size(), before[i] + 5);
+        for (const core::MetricsSample &s : samples) {
+            EXPECT_GT(s.rpsObsv, 0.0);
+            EXPECT_FALSE(s.t > wiped_at && s.t <= wiped_at + ac.samplePeriod)
+                << "window emitted at the torn tick " << s.t;
+        }
+    }
+}
+
+TEST(TenantScopedAgentTest, TopTenantsRanksTheNoisiestFirst)
+{
+    // Slot 1 sends at ten times slot 0's rate; the in-kernel sketch
+    // must rank it first without userspace reading any stats slot.
+    TwoTenantMachine m(0.05, 0.5);
+    core::AgentConfig ac;
+    ac.heavyHitterSketch = true;
+    core::ObservabilityAgent agent(m.machine.kernel(), m.bindings(), ac);
+    m.start(agent);
+    m.sim.runFor(sim::seconds(1));
+
+    const auto top = agent.topTenants(2);
+    ASSERT_EQ(top.size(), 2u);
+    EXPECT_EQ(top[0].first, 1u);
+    EXPECT_EQ(top[1].first, 0u);
+    EXPECT_GT(top[0].second, 5 * top[1].second);
+    EXPECT_GT(top[1].second, 0u);
+    EXPECT_EQ(agent.topTenants(1).size(), 1u);
 }
 
 TEST(ClusterExperimentTest, DegenerateCaseMatchesRunExperimentExactly)
@@ -304,6 +410,42 @@ TEST(ClusterExperimentTest, DegenerateCaseMatchesRunExperimentExactly)
     EXPECT_EQ(t.p99Ns, single.p99Ns);
     EXPECT_EQ(cluster.syscalls, single.syscalls);
     EXPECT_EQ(cluster.probeEvents, single.probeEvents);
+}
+
+TEST(ClusterExperimentTest, DegenerateRunReportsSlotAndTenantCounts)
+{
+    // web-search runs a front and a back-end process. Like every other
+    // cluster shape, the degenerate path must report the slot's
+    // cumulative send count and the front process's own syscalls, not
+    // the emitted windows' sum and the whole kernel's count.
+    core::ClusterExperimentConfig cc;
+    core::ClusterTenantSpec spec;
+    spec.workload = workload::workloadByName("web-search");
+    spec.offeredRps = 0.5 * spec.workload.saturationRps;
+    spec.requests = 800;
+    cc.tenants.push_back(spec);
+    cc.seed = 5;
+    ASSERT_TRUE(core::isDegenerateCluster(cc));
+
+    core::ExperimentConfig ec;
+    ec.workload = spec.workload;
+    ec.offeredRps = spec.offeredRps;
+    ec.requests = spec.requests;
+    ec.seed = 5;
+
+    const auto cluster = core::runClusterExperiment(cc);
+    const auto single = core::runExperiment(ec);
+    const core::TenantMachineResult &m = cluster.tenants.at(0).machines.at(0);
+
+    std::uint64_t windowed = 0;
+    for (const core::MetricsSample &s : single.samples)
+        windowed += s.send.count;
+    // The last window is still accumulating when the run ends.
+    EXPECT_GT(m.probeSendSyscalls, windowed);
+    EXPECT_LT(m.probeSendSyscalls, m.kernelSyscalls);
+    // The back end's syscalls are not the tenant front's.
+    EXPECT_GT(m.kernelSyscalls, 0u);
+    EXPECT_LT(m.kernelSyscalls, cluster.syscalls);
 }
 
 TEST(ClusterExperimentTest, CoLocatedTenantsGetSeparateAccurateMetrics)

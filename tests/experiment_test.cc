@@ -55,7 +55,9 @@ TEST(ExperimentResultLayout, FieldsStayInDeclarationOrder)
         at(&r.probeCostNs),    at(&r.samples),
         at(&r.faultCounts),    at(&r.agentHealth),
         at(&r.probeMapUpdateFails), at(&r.probeRingbufDrops),
-        at(&r.supervisorStats),
+        at(&r.supervisorStats),     at(&r.frontDoorCounts),
+        at(&r.stormConnP99Ns),      at(&r.probeSendSyscalls),
+        at(&r.tenantSyscalls),
     };
     EXPECT_TRUE(std::is_sorted(offsets.begin(), offsets.end()))
         << "ExperimentResult fields were reordered; the struct is "

@@ -24,7 +24,6 @@
 #include "core/experiment.hh"
 #include "core/parallel.hh"
 #include "core/profile.hh"
-#include "core/tenant_metrics.hh"
 #include "ebpf/assembler.hh"
 #include "ebpf/native.hh"
 #include "ebpf/probes.hh"
@@ -128,7 +127,7 @@ TEST(NativeEngine, EveryAgentProbeCompilesNative)
                                core::profileFor(
                                    workload::workloadByName(name))});
         }
-        core::MultiTenantAgent multi(kernel, tenants, cfg);
+        core::ObservabilityAgent multi(kernel, tenants, cfg);
         multi.start();
         expectAllNative(multi.runtime(), 8);
     }
