@@ -282,9 +282,6 @@ runLoop(bool closed_loop)
                 static_cast<double>(drops - *last_drops) /
                 sim::toSeconds(period);
             *last_drops = drops;
-            for (unsigned i = 0; i < kStormListeners; ++i)
-                in.frontDoorP99 = std::max(
-                    in.frontDoorP99, door.acceptLatencies(i).p99());
             return std::vector<core::ControllerInput>{in};
         });
     }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Full pre-merge check: Release build + tier-1 tests (library probes on
 # the default native engine, the engine-equality suite against the
-# reference interpreter), the figure-, chaos-, sched- and fleet-bench
-# golden hashes and benchmark workload digests, sanitizer build + tier-1
-# tests + the examples and golden-hashed benches under the sanitizers, then
-# the gated host-perf report (BENCH_perf.json), the gated scale report
+# reference interpreter), the figure-, chaos-, sched-, fleet- and
+# remaining-bench golden hashes and benchmark workload digests,
+# sanitizer build + tier-1 tests + the examples and golden-hashed
+# benches under the sanitizers, then the gated host-perf report
+# (BENCH_perf.json), the gated scale report
 # (BENCH_scale.json: scalar per-event tracepoint dispatch, the path
 # every experiment takes), the closed-loop control report
 # (BENCH_control.json), the front-door storm report
@@ -122,6 +123,21 @@ for bench in bench_fleet bench_colocation bench_control; do
 done
 (cd "$tmp" && sha256sum -c "$repo/scripts/fleet_bench_golden.sha256")
 
+# The remaining eight deterministic benches: the two tables, the
+# overhead and ablation benches and bench_frontdoor (stdout, no --json).
+# bench_ablation_iouring is the only bench that runs io_uring_enter, and
+# bench_frontdoor the only one on the acceptor's accept/epoll path. None
+# prints host or timing data, and each reads the same at REQOBS_JOBS=1
+# and 4.
+echo "== Remaining-bench golden hashes =="
+remaining_benches="bench_table1_system bench_table2_network_r2 bench_overhead
+    bench_ablation_window bench_ablation_reconstruct bench_ablation_stalls
+    bench_ablation_iouring bench_frontdoor"
+for bench in $remaining_benches; do
+    "$repo/build-check/bench/$bench" > "$tmp/$bench"
+done
+(cd "$tmp" && sha256sum -c "$repo/scripts/remaining_bench_golden.sha256")
+
 # The figure hashes never reach the cluster, discrete-scheduler and
 # front-door paths; the benchmark's four workloads do. Their result
 # digests at a fixed seed and scale are the same byte contract there.
@@ -166,7 +182,7 @@ if [ "$run_sanitize" = 1 ]; then
     # simulation once its components start being destroyed (DESIGN.md
     # §16). That rule binds every program that builds a simulation, and
     # ctest runs none of the examples or benches, so run the five
-    # examples and the eleven golden-hashed benches here too. The build
+    # examples and the nineteen golden-hashed benches here too. The build
     # makes every sanitizer report fatal, so a report is a non-zero exit
     # and stops the script; the benches must also print the golden bytes.
     echo "== Sanitizer examples + golden benches =="
@@ -178,14 +194,16 @@ if [ "$run_sanitize" = 1 ]; then
     for bench in bench_fig1_trace bench_fig2_rps_correlation \
         bench_fig3_send_variance bench_fig4_epoll_duration \
         bench_fig5_loss_tail bench_fault_matrix bench_supervisor \
-        bench_runqlat bench_fleet bench_colocation bench_control; do
+        bench_runqlat bench_fleet bench_colocation bench_control \
+        $remaining_benches; do
         "$repo/build-check-asan/bench/$bench" > "$tmp/asan/$bench"
     done
     (cd "$tmp/asan" &&
         sha256sum -c "$repo/scripts/figure_bench_golden.sha256" \
             "$repo/scripts/chaos_bench_golden.sha256" \
             "$repo/scripts/sched_bench_golden.sha256" \
-            "$repo/scripts/fleet_bench_golden.sha256")
+            "$repo/scripts/fleet_bench_golden.sha256" \
+            "$repo/scripts/remaining_bench_golden.sha256")
 
     # ThreadSanitizer over the worker pool, the only multi-threaded
     # code: its batch hand-off and thread budget (WorkerPoolTest, perf

@@ -43,10 +43,6 @@ StormGenerator::scheduleNextConn()
 {
     if (!running_)
         return;
-    if (config_.maxConns && attempted_ >= config_.maxConns) {
-        running_ = false;
-        return;
-    }
     sim_.schedule(interArrival_->sample(rng_), [this] {
         openConn();
         scheduleNextConn();
@@ -68,7 +64,6 @@ StormGenerator::openConn()
     if (loris) {
         ++lorisOpened_;
         net::ConnectOptions opts;
-        opts.sheddable = config_.sheddable;
         opts.abandon = true;
         opts.holdHandshake = config_.lorisHold;
         door_.connect(config_.listener, std::move(opts));
@@ -81,7 +76,6 @@ StormGenerator::openConn()
     live_.emplace(key, std::move(conn));
 
     net::ConnectOptions opts;
-    opts.sheddable = config_.sheddable;
     opts.onFailed = [this, key] {
         ++failed_;
         live_.erase(key);

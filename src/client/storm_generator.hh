@@ -39,11 +39,9 @@ namespace reqobs::client {
 struct StormConfig
 {
     double connRps = 1000.0;       ///< open-loop new-connection rate
-    std::uint64_t maxConns = 0;    ///< stop after this many (0 = no cap)
     unsigned listener = 0;         ///< front-door listener to hammer
     std::uint32_t requestBytes = 128;
     sim::Tick warmup = sim::milliseconds(200); ///< discard early latencies
-    bool sheddable = true;         ///< storm flows are best-effort
     /** Fraction of connections that are slow-loris (never complete). */
     double lorisFraction = 0.0;
     /** How long a loris squats half-open before the reaper gets it. */

@@ -252,12 +252,19 @@ ObservabilityAgent::start()
                 add_unique(recv_family, id);
         }
 
+        // An optional probe that fails to attach leaves its readings at
+        // their empty values, so it must mark the agent degraded.
+        auto attach_optional = [&](ebpf::ProgramSpec spec, const char *name,
+                                   kernel::TracepointId point) {
+            if (!attach(std::move(spec), name, point))
+                ++health_.optionalAttachFails;
+        };
         if (config_.heavyHitterSketch) {
             sketchFd_ = probes::createTenantSketchMap(
                 *runtime_, config_.sketchStages, config_.sketchWidth, "send");
-            attach(probes::buildTenantHeavyHitter(*runtime_, set,
-                                                  send_family, sketchFd_),
-                   "send.heavy_hitter", TracepointId::SysExit);
+            attach_optional(probes::buildTenantHeavyHitter(
+                                *runtime_, set, send_family, sketchFd_),
+                            "send.heavy_hitter", TracepointId::SysExit);
         }
         health_.sendAttached =
             attach(probes::buildTenantDeltaExit(*runtime_, set, send_family,
@@ -278,12 +285,13 @@ ObservabilityAgent::start()
             // The wakeup half goes on both wakeup tracepoints (same
             // bytecode, two attachments — exactly how the real runqlat
             // tool loads one program twice).
-            attach(probes::buildRunqlatWakeup(*runtime_, runqMaps_),
-                   "runq.wakeup", TracepointId::SchedWakeup);
-            attach(probes::buildRunqlatWakeup(*runtime_, runqMaps_),
-                   "runq.wakeup_new", TracepointId::SchedWakeupNew);
-            attach(probes::buildRunqlatSwitch(*runtime_, set, runqMaps_),
-                   "runq.switch", TracepointId::SchedSwitch);
+            attach_optional(probes::buildRunqlatWakeup(*runtime_, runqMaps_),
+                            "runq.wakeup", TracepointId::SchedWakeup);
+            attach_optional(probes::buildRunqlatWakeup(*runtime_, runqMaps_),
+                            "runq.wakeup_new", TracepointId::SchedWakeupNew);
+            attach_optional(
+                probes::buildRunqlatSwitch(*runtime_, set, runqMaps_),
+                "runq.switch", TracepointId::SchedSwitch);
             runqSnap_.assign(n * probes::kRunqlatBuckets, 0);
             runqWindow_.assign(probes::kRunqlatBuckets, 0);
         }

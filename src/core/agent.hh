@@ -125,6 +125,8 @@ struct AgentHealth
     bool sendAttached = false; ///< send delta probe live
     bool recvAttached = false; ///< recv delta probe live
     bool pollAttached = false; ///< both halves of the duration pair live
+    /** Configured optional probes (sketch, runqlat) that failed to attach. */
+    unsigned optionalAttachFails = 0;
     std::uint64_t mapUpdateFails = 0; ///< cumulative failed map updates
     std::uint64_t ringbufDrops = 0;   ///< cumulative ring-buffer drops
     std::uint64_t probeMisses = 0;    ///< cumulative missed probe runs
@@ -139,8 +141,8 @@ struct AgentHealth
     bool degraded() const
     {
         return !sendAttached || !recvAttached || !pollAttached ||
-               mapUpdateFails > 0 || ringbufDrops > 0 || probeMisses > 0 ||
-               discontinuities > 0;
+               optionalAttachFails > 0 || mapUpdateFails > 0 ||
+               ringbufDrops > 0 || probeMisses > 0 || discontinuities > 0;
     }
 };
 

@@ -107,8 +107,7 @@ FleetController::tickWith(const std::vector<ControllerInput> &inputs,
         double maxVarRatio = 0.0;
         bool anySaturated = false;
         bool any = false;
-        double maxDropRate = 0.0;      ///< worst front-door drop rate
-        std::uint64_t maxFrontP99 = 0; ///< worst front-door latency p99
+        double maxDropRate = 0.0; ///< worst front-door drop rate
     };
     std::vector<MachineView> mv(machine_.size());
     std::vector<TenantView> tv(shed_.size());
@@ -126,7 +125,6 @@ FleetController::tickWith(const std::vector<ControllerInput> &inputs,
         t.maxVarRatio = std::max(t.maxVarRatio, in.varianceRatio);
         t.anySaturated = t.anySaturated || in.saturated;
         t.maxDropRate = std::max(t.maxDropRate, in.frontDoorDropRate);
-        t.maxFrontP99 = std::max(t.maxFrontP99, in.frontDoorP99);
     }
 
     // --- Migration (drain / reclaim) with circuit breaker ----------------
@@ -266,14 +264,8 @@ FleetController::tickWith(const std::vector<ControllerInput> &inputs,
             continue;
         if (!cooledDown(s.lastBudget, config_.budgetCooldown, now))
             continue;
-        const bool stormy =
-            tv[t].maxDropRate > config_.budgetOnDropRate ||
-            (config_.budgetOnLatencyNs > 0 &&
-             tv[t].maxFrontP99 > config_.budgetOnLatencyNs);
-        const bool calm =
-            tv[t].maxDropRate < config_.budgetOffDropRate &&
-            (config_.budgetOnLatencyNs == 0 ||
-             tv[t].maxFrontP99 < config_.budgetOnLatencyNs);
+        const bool stormy = tv[t].maxDropRate > config_.budgetOnDropRate;
+        const bool calm = tv[t].maxDropRate < config_.budgetOffDropRate;
         if (!s.budgetClamped && stormy) {
             s.budgetClamped = true;
             s.lastBudget = now;

@@ -122,12 +122,6 @@ struct ControllerConfig
     double budgetOnDropRate = 50.0;
     /** ...release only below this one (hysteresis band). */
     double budgetOffDropRate = 5.0;
-    /**
-     * Alternative engage signal: the tenant's in-kernel front-door
-     * latency p99 (the eBPF log2-histogram probe) crossing this, ns.
-     * 0 disables the latency trigger.
-     */
-    std::uint64_t budgetOnLatencyNs = 0;
     /** Accept budget (conns/sec) applied while clamped. */
     double budgetClampRps = 200.0;
     sim::Tick budgetCooldown = sim::milliseconds(600);
@@ -147,10 +141,8 @@ struct ControllerInput
     std::uint64_t sendCount = 0; ///< events in the newest window
     bool degraded = false;      ///< pipeline health at emit time
 
-    /** @name Front-door signals (0 unless the machine has one). @{ */
-    double frontDoorDropRate = 0.0;  ///< admission-path drops per second
-    std::uint64_t frontDoorP99 = 0;  ///< eBPF front-door latency p99, ns
-    /** @} */
+    /** Front-door admission-path drops per second (0 without one). */
+    double frontDoorDropRate = 0.0;
 };
 
 /** Actuator callbacks; any unset member is simply never invoked. */

@@ -214,13 +214,6 @@ Supervisor::armLifecycleFaults()
     }
 }
 
-sim::Tick
-Supervisor::watchdogPeriod() const
-{
-    return config_.watchdogPeriod > 0 ? config_.watchdogPeriod
-                                      : agentConfig_.samplePeriod;
-}
-
 std::uint64_t
 Supervisor::samplerProgress() const
 {
@@ -233,8 +226,8 @@ Supervisor::samplerProgress() const
 void
 Supervisor::armWatchdog()
 {
-    watchdogTimer_ =
-        kernel_.sim().schedule(watchdogPeriod(), [this] { onWatchdogTick(); });
+    watchdogTimer_ = kernel_.sim().schedule(agentConfig_.samplePeriod,
+                                            [this] { onWatchdogTick(); });
 }
 
 void

@@ -56,12 +56,11 @@ struct SupervisorConfig
     /** Consecutive failed starts (zero probe families attached) that
      *  open the circuit breaker; 0 disables the breaker. */
     unsigned circuitBreakerThreshold = 5;
-    /** Watchdog tick; 0 = the agent's sample period. */
-    sim::Tick watchdogPeriod = 0;
     /**
-     * Watchdog ticks without sampler progress before the agent is
-     * declared stalled. Must exceed the agent's stale-backoff ceiling
-     * (maxBackoffFactor periods between legitimate sample ticks).
+     * Watchdog ticks (one per agent sample period) without sampler
+     * progress before the agent is declared stalled. Must exceed the
+     * agent's stale-backoff ceiling (maxBackoffFactor periods between
+     * legitimate sample ticks).
      */
     unsigned stallTimeoutTicks = 12;
 };
@@ -185,7 +184,6 @@ class Supervisor
     void armLifecycleFaults();
     void armWatchdog();
     std::uint64_t samplerProgress() const;
-    sim::Tick watchdogPeriod() const;
     ebpf::probes::SyscallStats snapStats(const char *map_name) const;
 
     std::uint64_t lastProgress_ = 0;

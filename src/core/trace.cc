@@ -36,10 +36,8 @@ TraceCollector::start()
         if (!vr)
             sim::fatal("stream probe rejected: %s", vr.error.c_str());
     };
-    if (config_.enterEvents)
-        attach(false, kernel::TracepointId::SysEnter);
-    if (config_.exitEvents)
-        attach(true, kernel::TracepointId::SysExit);
+    attach(false, kernel::TracepointId::SysEnter);
+    attach(true, kernel::TracepointId::SysExit);
     running_ = true;
     scheduleDrain();
 }

@@ -34,8 +34,6 @@ struct TraceConfig
 {
     std::uint32_t ringBytes = 1u << 20;
     sim::Tick drainPeriod = sim::milliseconds(10);
-    bool enterEvents = true;
-    bool exitEvents = true;
     ebpf::RuntimeConfig runtime;
 };
 

@@ -130,11 +130,9 @@ struct FaultPlan
      * Injected SYN-flood rate (conns/sec) at the machine's front door:
      * anonymous handshakes that traverse the ingress + SYN queues and
      * consume accept-backlog slots but never carry a request. The flood
-     * targets the listener the FrontDoor designates (floodListener).
+     * targets listener 0.
      */
     double synFloodRate = 0.0;
-    /** Listener index the injected flood targets. */
-    unsigned synFloodListener = 0;
 
     /** P(an admission to the accept backlog is forced to fail). */
     double acceptBacklogOverflowProbability = 0.0;

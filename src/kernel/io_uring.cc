@@ -4,29 +4,6 @@
 
 namespace reqobs::kernel {
 
-bool
-UringEnterOp::await_ready() const
-{
-    // Completions pending: the reap happens in userspace, no syscall.
-    return ring_.hasCqe();
-}
-
-void
-UringEnterOp::await_suspend(std::coroutine_handle<> h)
-{
-    h_ = h;
-    k_.fireEnter(tid_, syscallId(Syscall::IoUringEnter));
-    ring_.waiters_.push_back(this);
-}
-
-void
-UringEnterOp::wake()
-{
-    k_.sim().schedule(k_.config().wakeLatency, [this] {
-        k_.finishSyscall(tid_, syscallId(Syscall::IoUringEnter), 1, h_);
-    });
-}
-
 IoUring::IoUring(Kernel &kernel, Pid pid, const IoUringConfig &config)
     : kernel_(kernel), pid_(pid), config_(config)
 {}
@@ -69,12 +46,9 @@ IoUring::onReadable(Fd fd)
             cq_.push_back(Cqe{fd, sock->pop()});
             ++completions_;
         }
-        while (!cq_.empty() && !waiters_.empty()) {
-            UringEnterOp *op = waiters_.front();
-            waiters_.pop_front();
-            op->wake();
-            break; // one wake per batch: the reaper drains the CQ
-        }
+        // One wake per batch: the reaper drains the CQ.
+        if (!cq_.empty())
+            WaitOp::wakeOne(waiters_);
     });
 }
 

@@ -21,7 +21,6 @@
 #ifndef REQOBS_KERNEL_IO_URING_HH
 #define REQOBS_KERNEL_IO_URING_HH
 
-#include <coroutine>
 #include <deque>
 #include <map>
 #include <memory>
@@ -29,35 +28,6 @@
 #include "kernel/kernel.hh"
 
 namespace reqobs::kernel {
-
-class IoUring;
-
-/**
- * Awaitable io_uring_enter(GETEVENTS): blocks until a completion is
- * available. Costs no syscall at all when completions are already
- * pending (pure userspace CQ read).
- */
-class UringEnterOp
-{
-  public:
-    UringEnterOp(Kernel &k, Tid tid, IoUring &ring)
-        : k_(k), tid_(tid), ring_(ring)
-    {}
-
-    bool await_ready() const;
-    void await_suspend(std::coroutine_handle<> h);
-    void await_resume() const {}
-
-  private:
-    friend class IoUring;
-
-    Kernel &k_;
-    Tid tid_;
-    IoUring &ring_;
-    std::coroutine_handle<> h_;
-
-    void wake();
-};
 
 /** One completion-queue entry: an inbound message on a ring fd. */
 struct Cqe
@@ -97,8 +67,17 @@ class IoUring : public ReadinessObserver
     Cqe popCqe();
     /** @} */
 
-    /** Block (if needed) until at least one CQE is available. */
-    UringEnterOp enter(Tid tid) { return UringEnterOp(kernel_, tid, *this); }
+    /**
+     * io_uring_enter(GETEVENTS): block until at least one CQE is
+     * available, exiting with 1. Costs no syscall at all when
+     * completions are already pending (pure userspace CQ read).
+     */
+    WaitOp
+    enter(Tid tid)
+    {
+        return WaitOp(kernel_, tid, Syscall::IoUringEnter, 1, waiters_,
+                      hasCqe());
+    }
 
     /**
      * Submit a send: the ring's kernel-side worker transmits it after
@@ -116,14 +95,12 @@ class IoUring : public ReadinessObserver
     /** @} */
 
   private:
-    friend class UringEnterOp;
-
     Kernel &kernel_;
     Pid pid_;
     IoUringConfig config_;
     std::map<Fd, std::shared_ptr<Socket>> recvArmed_;
     std::deque<Cqe> cq_;
-    std::deque<UringEnterOp *> waiters_;
+    WaitOp::Queue waiters_;
     std::uint64_t completions_ = 0;
     std::uint64_t submissions_ = 0;
     std::uint64_t overflow_ = 0;

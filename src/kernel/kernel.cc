@@ -137,14 +137,6 @@ Kernel::fireExit(Tid tid, std::int64_t syscall, std::int64_t ret)
     return tracepoints_.fire(ev);
 }
 
-void
-Kernel::finishSyscall(Tid tid, std::int64_t syscall, std::int64_t ret,
-                      std::coroutine_handle<> h)
-{
-    const sim::Tick exit_cost = fireExit(tid, syscall, ret);
-    sim_.schedule(exit_cost, [this, h] { resumeHandle(h); });
-}
-
 // -------------------------------------------------- processes and threads
 
 Pid
@@ -327,16 +319,19 @@ Kernel::listenerAt(Pid pid, Fd fd) const
 
 // -------------------------------------------------------- syscall ops
 
-EpollWaitOp
+PollOp
 Kernel::epollWait(Tid tid, Fd epfd, std::size_t max_events, sim::Tick timeout)
 {
-    return EpollWaitOp(*this, tid, epfd, max_events, timeout);
+    auto ep = epollAt(threadOf(tid).pid, epfd);
+    if (!ep)
+        sim::fatal("epoll_wait: fd %d is not an epoll instance", epfd);
+    return PollOp(*this, tid, std::move(ep), max_events, timeout);
 }
 
-SelectOp
+PollOp
 Kernel::select(Tid tid, std::vector<Fd> fds, sim::Tick timeout)
 {
-    return SelectOp(*this, tid, std::move(fds), timeout);
+    return PollOp(*this, tid, std::move(fds), timeout);
 }
 
 RecvOp
@@ -375,289 +370,200 @@ Kernel::sleepFor(Tid tid, sim::Tick duration)
     return SleepOp(*this, tid, duration);
 }
 
-// ---------------------------------------------------------- EpollWaitOp
+// ------------------------------------------------------------ SyscallOp
+
+sim::Tick
+SyscallOp::enter()
+{
+    return k_.fireEnter(tid_, syscall_);
+}
+
+sim::Tick
+SyscallOp::exit(std::int64_t ret)
+{
+    return k_.fireExit(tid_, syscall_, ret);
+}
 
 void
-EpollWaitOp::await_suspend(std::coroutine_handle<> h)
+SyscallOp::finish(std::int64_t ret)
+{
+    // Capture the kernel, not `this`: the op dies as the coroutine
+    // resumes, while the callback object outlives the resume call.
+    Kernel *k = &k_;
+    k_.sim().schedule(exit(ret), [k, h = h_] { k->resumeHandle(h); });
+}
+
+Pid
+SyscallOp::pid() const
+{
+    return k_.threadOf(tid_).pid;
+}
+
+// --------------------------------------------------------------- PollOp
+
+void
+PollOp::await_suspend(std::coroutine_handle<> h)
 {
     h_ = h;
-    Kernel::Thread &t = k_.threadOf(tid_);
-    ep_ = k_.epollAt(t.pid, epfd_);
-    if (!ep_)
-        sim::fatal("epoll_wait: fd %d is not an epoll instance", epfd_);
-
-    const sim::Tick enter_cost =
-        k_.fireEnter(tid_, syscallId(Syscall::EpollWait));
-
-    auto ready = ep_->collectReady(maxEvents_);
-    if (!ready.empty()) {
-        result_ = std::move(ready);
-        state_ = State::Done;
+    const sim::Tick enter_cost = enter();
+    result_ = scan();
+    if (!result_.empty()) {
         k_.sim().schedule(enter_cost + k_.config().syscallBaseCost,
                           [this] { complete(); });
         return;
     }
-
-    state_ = State::Waiting;
-    waiterId_ = ep_->addWaiter([this] { onWake(); });
+    arm();
     if (timeout_ >= 0) {
         timer_ = k_.sim().schedule(enter_cost + timeout_,
                                    [this] { onTimeout(); });
     }
+    // A signal (or lost wakeup race) pops the waiter out with nothing
+    // ready: the syscall returns no fds and userspace loops around.
     if (fault::FaultInjector *f = k_.faultInjector();
         f && f->injectSpuriousWakeup()) {
         spuriousTimer_ = k_.sim().schedule(
-            enter_cost + f->spuriousWakeupDelay(), [this] { onSpurious(); });
+            enter_cost + f->spuriousWakeupDelay(), [this] { onTimeout(); });
     }
 }
 
-void
-EpollWaitOp::onSpurious()
+std::vector<ReadyFd>
+PollOp::scan()
 {
-    // A signal (or lost wakeup race) pops the waiter out with nothing
-    // ready: the syscall returns 0 events and userspace loops around.
-    if (state_ != State::Waiting)
-        return;
-    ep_->removeWaiter(waiterId_);
-    state_ = State::Done;
-    complete();
-}
-
-void
-EpollWaitOp::onWake()
-{
-    // The epoll instance already removed this waiter before calling us.
-    if (state_ != State::Waiting)
-        return;
-    state_ = State::Waking;
-    k_.sim().schedule(k_.config().wakeLatency, [this] { finishScan(); });
-}
-
-void
-EpollWaitOp::onTimeout()
-{
-    if (state_ == State::Waiting) {
-        ep_->removeWaiter(waiterId_);
-        state_ = State::Done;
-        complete();
+    if (ep_)
+        return ep_->collectReady(maxEvents_);
+    std::vector<ReadyFd> ready;
+    const Pid p = pid();
+    for (Fd fd : fds_) {
+        auto file = k_.fileAt(p, fd);
+        if (file && file->readable())
+            ready.push_back(ReadyFd{fd, true, file->writable()});
     }
-    // If a wake is in flight (Waking), finishScan will complete shortly;
-    // the timeout result is superseded by real readiness.
+    return ready;
 }
 
 void
-EpollWaitOp::finishScan()
+PollOp::arm()
 {
-    if (state_ != State::Waking)
-        return;
-    result_ = ep_->collectReady(maxEvents_);
-    if (result_.empty()) {
-        if (timeout_ >= 0 && !timer_.pending()) {
-            // Deadline passed while we were waking: report a timeout.
-            state_ = State::Done;
-            complete();
-            return;
-        }
-        // Spurious wake (another thread drained the fd): block again.
-        state_ = State::Waiting;
+    state_ = State::Waiting;
+    armed_ = true;
+    if (ep_) {
         waiterId_ = ep_->addWaiter([this] { onWake(); });
         return;
     }
-    state_ = State::Done;
-    complete();
-}
-
-void
-EpollWaitOp::complete()
-{
-    state_ = State::Done;
-    timer_.cancel();
-    spuriousTimer_.cancel();
-    k_.finishSyscall(tid_, syscallId(Syscall::EpollWait),
-                     static_cast<std::int64_t>(result_.size()), h_);
-}
-
-// -------------------------------------------------------------- SelectOp
-
-SelectOp::~SelectOp()
-{
-    unobserve();
-}
-
-void
-SelectOp::await_suspend(std::coroutine_handle<> h)
-{
-    h_ = h;
-    const sim::Tick enter_cost =
-        k_.fireEnter(tid_, syscallId(Syscall::Select));
-
+    const Pid p = pid();
     for (Fd fd : fds_) {
-        auto file = k_.fileAt(k_.threadOf(tid_).pid, fd);
-        if (file && file->readable())
-            result_.push_back(fd);
-    }
-    if (!result_.empty()) {
-        state_ = State::Done;
-        k_.sim().schedule(enter_cost + k_.config().syscallBaseCost,
-                          [this] { complete(); });
-        return;
-    }
-
-    state_ = State::Waiting;
-    observing_ = true;
-    for (Fd fd : fds_) {
-        auto file = k_.fileAt(k_.threadOf(tid_).pid, fd);
-        if (file)
+        if (auto file = k_.fileAt(p, fd))
             file->addObserver(this, fd);
     }
-    if (timeout_ >= 0) {
-        timer_ = k_.sim().schedule(enter_cost + timeout_,
-                                   [this] { onTimeout(); });
-    }
-    if (fault::FaultInjector *f = k_.faultInjector();
-        f && f->injectSpuriousWakeup()) {
-        spuriousTimer_ = k_.sim().schedule(
-            enter_cost + f->spuriousWakeupDelay(), [this] { onSpurious(); });
-    }
 }
 
 void
-SelectOp::onSpurious()
+PollOp::disarm()
 {
-    if (state_ != State::Waiting)
+    if (!armed_)
         return;
-    unobserve();
-    state_ = State::Done;
-    complete();
-}
-
-void
-SelectOp::unobserve()
-{
-    if (!observing_)
+    armed_ = false;
+    if (ep_) {
+        // A no-op when the instance already popped this waiter to wake it.
+        ep_->removeWaiter(waiterId_);
         return;
-    observing_ = false;
-    const Pid pid = k_.threadOf(tid_).pid;
+    }
+    const Pid p = pid();
     for (Fd fd : fds_) {
-        auto file = k_.fileAt(pid, fd);
-        if (file)
+        if (auto file = k_.fileAt(p, fd))
             file->removeObserver(this);
     }
 }
 
 void
-SelectOp::onReadable(Fd)
+PollOp::onWake()
 {
     if (state_ != State::Waiting)
         return;
     state_ = State::Waking;
-    unobserve();
+    disarm();
     k_.sim().schedule(k_.config().wakeLatency, [this] { finishScan(); });
 }
 
 void
-SelectOp::onTimeout()
+PollOp::onTimeout()
 {
-    if (state_ == State::Waiting) {
-        unobserve();
-        state_ = State::Done;
-        complete();
-    }
-}
-
-void
-SelectOp::finishScan()
-{
-    if (state_ != State::Waking)
+    // The timeout or a spurious wakeup. If a wake is in flight, its
+    // rescan completes shortly and real readiness supersedes this.
+    if (state_ != State::Waiting)
         return;
-    const Pid pid = k_.threadOf(tid_).pid;
-    result_.clear();
-    for (Fd fd : fds_) {
-        auto file = k_.fileAt(pid, fd);
-        if (file && file->readable())
-            result_.push_back(fd);
-    }
-    if (result_.empty()) {
-        if (timeout_ >= 0 && !timer_.pending()) {
-            state_ = State::Done;
-            complete();
-            return;
-        }
-        state_ = State::Waiting;
-        observing_ = true;
-        for (Fd fd : fds_) {
-            auto file = k_.fileAt(pid, fd);
-            if (file)
-                file->addObserver(this, fd);
-        }
-        return;
-    }
-    state_ = State::Done;
+    disarm();
     complete();
 }
 
 void
-SelectOp::complete()
+PollOp::finishScan()
+{
+    result_ = scan();
+    // Return what is ready; with nothing ready, a deadline that passed
+    // while waking makes this a timeout.
+    if (!result_.empty() || (timeout_ >= 0 && !timer_.pending())) {
+        complete();
+        return;
+    }
+    // Another thread drained the fds: block again.
+    arm();
+}
+
+void
+PollOp::complete()
 {
     state_ = State::Done;
     timer_.cancel();
     spuriousTimer_.cancel();
-    k_.finishSyscall(tid_, syscallId(Syscall::Select),
-                     static_cast<std::int64_t>(result_.size()), h_);
+    finish(static_cast<std::int64_t>(result_.size()));
 }
 
-// ---------------------------------------------------------------- RecvOp
+// ----------------------------------------------------------------- IoOp
 
 void
-RecvOp::await_suspend(std::coroutine_handle<> h)
+IoOp::await_suspend(std::coroutine_handle<> h)
 {
     h_ = h;
     start();
 }
 
 void
-RecvOp::start()
+IoOp::start()
 {
-    const sim::Tick enter_cost = k_.fireEnter(tid_, syscallId(which_));
+    const sim::Tick enter_cost = enter();
     k_.sim().schedule(enter_cost + k_.config().syscallBaseCost, [this] {
         fault::FaultInjector *f = k_.faultInjector();
         if (f && f->injectEintr(restarts_)) {
-            // Interrupted by a signal before completing; SA_RESTART
+            // Interrupted by a signal before any byte moved; SA_RESTART
             // semantics reissue the syscall (fresh enter/exit pair).
             ++restarts_;
-            const sim::Tick exit_cost =
-                k_.fireExit(tid_, syscallId(which_), kEintr);
-            k_.sim().schedule(exit_cost, [this] { start(); });
+            k_.sim().schedule(exit(kEintr), [this] { start(); });
             return;
         }
-        auto sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
-        if (!sock || !sock->hasData() || (f && f->injectEagain())) {
-            result_.ret = kEagain;
-            k_.finishSyscall(tid_, syscallId(which_), result_.ret, h_);
+        const std::int64_t ret = transfer(f);
+        if (ret < 0) {
+            finish(ret);
             return;
         }
-        result_.msg = sock->pop();
-        result_.ok = true;
-        result_.ret = static_cast<std::int64_t>(result_.msg.bytes);
-        const unsigned pieces =
-            f ? f->partialPieces(result_.msg.bytes) : 1;
+        const auto bytes = static_cast<std::uint64_t>(ret);
+        const unsigned pieces = f ? f->partialPieces(bytes) : 1;
         if (pieces <= 1) {
-            k_.finishSyscall(tid_, syscallId(which_), result_.ret, h_);
+            completeLast(ret);
             return;
         }
-        // Partial read: the kernel hands the payload out over several
-        // short syscalls. The message itself stays intact (it left the
-        // socket queue above); the observer just sees extra recv exits
-        // with partial byte counts.
-        bytesLeft_ = result_.msg.bytes;
+        // Partial I/O: the payload moves over several short syscalls,
+        // each exiting with its piece's bytes; the message itself stays
+        // intact.
+        bytesLeft_ = bytes;
         piecesLeft_ = pieces;
-        pieceBytes_ = result_.msg.bytes / pieces;
+        pieceBytes_ = bytes / pieces;
         partialStep();
     });
 }
 
 void
-RecvOp::partialStep()
+IoOp::partialStep()
 {
     const std::uint64_t this_bytes =
         piecesLeft_ == 1 ? bytesLeft_ : pieceBytes_;
@@ -665,84 +571,73 @@ RecvOp::partialStep()
     --piecesLeft_;
     const auto ret = static_cast<std::int64_t>(this_bytes);
     if (piecesLeft_ == 0) {
-        result_.ret = ret;
-        k_.finishSyscall(tid_, syscallId(which_), ret, h_);
+        completeLast(ret);
         return;
     }
-    const sim::Tick exit_cost = k_.fireExit(tid_, syscallId(which_), ret);
-    k_.sim().schedule(exit_cost, [this] {
-        const sim::Tick enter_cost = k_.fireEnter(tid_, syscallId(which_));
-        k_.sim().schedule(enter_cost + k_.config().syscallBaseCost,
+    k_.sim().schedule(exit(ret), [this] {
+        k_.sim().schedule(enter() + k_.config().syscallBaseCost,
                           [this] { partialStep(); });
     });
 }
 
-// ---------------------------------------------------------------- SendOp
+std::int64_t
+RecvOp::transfer(fault::FaultInjector *f)
+{
+    auto sock = k_.socketAt(pid(), fd_);
+    if (!sock || !sock->hasData() || (f && f->injectEagain())) {
+        result_.ret = kEagain;
+        return kEagain;
+    }
+    result_.msg = sock->pop();
+    result_.ok = true;
+    return result_.msg.bytes;
+}
 
 void
-SendOp::await_suspend(std::coroutine_handle<> h)
+RecvOp::completeLast(std::int64_t ret)
+{
+    // After a partial read: the last piece's bytes.
+    result_.ret = ret;
+    finish(ret);
+}
+
+std::int64_t
+SendOp::transfer(fault::FaultInjector *)
+{
+    sock_ = k_.socketAt(pid(), fd_);
+    ret_ = sock_ ? static_cast<std::int64_t>(msg_.bytes) : kEagain;
+    return ret_;
+}
+
+void
+SendOp::completeLast(std::int64_t ret)
+{
+    // The full message hits the wire with the last piece, before sys_exit
+    // fires: its delivery event is scheduled ahead of the resume.
+    sock_->transmit(std::move(msg_));
+    finish(ret);
+}
+
+// --------------------------------------------------------------- WaitOp
+
+void
+WaitOp::await_suspend(std::coroutine_handle<> h)
 {
     h_ = h;
-    start();
+    enter();
+    queue_.push_back(this);
 }
 
-void
-SendOp::start()
+bool
+WaitOp::wakeOne(Queue &queue)
 {
-    const sim::Tick enter_cost = k_.fireEnter(tid_, syscallId(which_));
-    k_.sim().schedule(enter_cost + k_.config().syscallBaseCost, [this] {
-        fault::FaultInjector *f = k_.faultInjector();
-        if (f && f->injectEintr(restarts_)) {
-            // Interrupted before any byte was queued; restart cleanly.
-            ++restarts_;
-            const sim::Tick exit_cost =
-                k_.fireExit(tid_, syscallId(which_), kEintr);
-            k_.sim().schedule(exit_cost, [this] { start(); });
-            return;
-        }
-        auto sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
-        if (!sock) {
-            ret_ = kEagain;
-            k_.finishSyscall(tid_, syscallId(which_), ret_, h_);
-            return;
-        }
-        ret_ = static_cast<std::int64_t>(msg_.bytes);
-        const unsigned pieces = f ? f->partialPieces(msg_.bytes) : 1;
-        if (pieces <= 1) {
-            sock->transmit(std::move(msg_));
-            k_.finishSyscall(tid_, syscallId(which_), ret_, h_);
-            return;
-        }
-        // Partial write: several short send syscalls; the full message
-        // hits the wire once the last piece is written.
-        bytesLeft_ = msg_.bytes;
-        piecesLeft_ = pieces;
-        pieceBytes_ = msg_.bytes / pieces;
-        partialStep();
-    });
-}
-
-void
-SendOp::partialStep()
-{
-    const std::uint64_t this_bytes =
-        piecesLeft_ == 1 ? bytesLeft_ : pieceBytes_;
-    bytesLeft_ -= this_bytes;
-    --piecesLeft_;
-    const auto ret = static_cast<std::int64_t>(this_bytes);
-    if (piecesLeft_ == 0) {
-        auto sock = k_.socketAt(k_.threadOf(tid_).pid, fd_);
-        if (sock)
-            sock->transmit(std::move(msg_));
-        k_.finishSyscall(tid_, syscallId(which_), ret, h_);
-        return;
-    }
-    const sim::Tick exit_cost = k_.fireExit(tid_, syscallId(which_), ret);
-    k_.sim().schedule(exit_cost, [this] {
-        const sim::Tick enter_cost = k_.fireEnter(tid_, syscallId(which_));
-        k_.sim().schedule(enter_cost + k_.config().syscallBaseCost,
-                          [this] { partialStep(); });
-    });
+    if (queue.empty())
+        return false;
+    WaitOp *op = queue.front();
+    queue.pop_front();
+    op->k_.sim().schedule(op->k_.config().wakeLatency,
+                          [op] { op->finish(op->ret_); });
+    return true;
 }
 
 // -------------------------------------------------------------- AcceptOp
@@ -751,17 +646,14 @@ void
 AcceptOp::await_suspend(std::coroutine_handle<> h)
 {
     h_ = h;
-    const sim::Tick enter_cost =
-        k_.fireEnter(tid_, syscallId(Syscall::Accept));
-    k_.sim().schedule(enter_cost + k_.config().syscallBaseCost, [this] {
-        const Pid pid = k_.threadOf(tid_).pid;
-        auto listener = k_.listenerAt(pid, listenFd_);
-        if (listener && listener->hasPending()) {
-            newFd_ = k_.installFile(pid, listener->acceptOne());
-        } else {
+    k_.sim().schedule(enter() + k_.config().syscallBaseCost, [this] {
+        const Pid p = pid();
+        auto listener = k_.listenerAt(p, listenFd_);
+        if (listener && listener->hasPending())
+            newFd_ = k_.installFile(p, listener->acceptOne());
+        else
             newFd_ = static_cast<Fd>(kEagain);
-        }
-        k_.finishSyscall(tid_, syscallId(Syscall::Accept), newFd_, h_);
+        finish(newFd_);
     });
 }
 
@@ -784,11 +676,8 @@ ComputeOp::await_suspend(std::coroutine_handle<> h)
 void
 SleepOp::await_suspend(std::coroutine_handle<> h)
 {
-    const sim::Tick enter_cost =
-        k_.fireEnter(tid_, syscallId(Syscall::Nanosleep));
-    k_.sim().schedule(enter_cost + duration_, [this, h] {
-        k_.finishSyscall(tid_, syscallId(Syscall::Nanosleep), 0, h);
-    });
+    h_ = h;
+    k_.sim().schedule(enter() + duration_, [this] { finish(0); });
 }
 
 } // namespace reqobs::kernel

@@ -73,159 +73,211 @@ struct RecvResult
 // Awaiter objects returned by the Kernel's syscall API. They live in the
 // awaiting coroutine's frame, so their addresses stay valid for the whole
 // suspension; the kernel registers completion callbacks against them.
+// Every blocking syscall takes one of three paths: PollOp (epoll_wait,
+// select), the IoOp pair (recv and send families) or WaitOp (futex,
+// io_uring_enter); DESIGN.md §18.
 
-/** Awaitable epoll_wait(2). Resumes with the ready-fd list. */
-class EpollWaitOp
+/**
+ * What every syscall op shares: the calling thread, the syscall id and
+ * the suspended coroutine, plus the tracepoints around them.
+ */
+class SyscallOp
 {
   public:
-    EpollWaitOp(Kernel &k, Tid tid, Fd epfd, std::size_t max_events,
-                sim::Tick timeout)
-        : k_(k), tid_(tid), epfd_(epfd), maxEvents_(max_events),
-          timeout_(timeout)
-    {}
+    /** Callbacks hold the op's address: it never moves. */
+    SyscallOp(const SyscallOp &) = delete;
+    SyscallOp &operator=(const SyscallOp &) = delete;
 
     bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    std::vector<ReadyFd> await_resume() { return std::move(result_); }
 
-  private:
-    friend class Kernel;
+  protected:
+    SyscallOp(Kernel &k, Tid tid, Syscall which)
+        : k_(k), tid_(tid), syscall_(syscallId(which))
+    {}
 
-    enum class State { Waiting, Waking, Done };
+    /** Fire sys_enter; returns the entry-probe cost. */
+    sim::Tick enter();
+    /** Fire sys_exit without resuming; returns the exit-probe cost. */
+    sim::Tick exit(std::int64_t ret);
+    /** Fire sys_exit and resume the coroutine after the exit-probe cost. */
+    void finish(std::int64_t ret);
+    /** The calling thread's process. */
+    Pid pid() const;
 
     Kernel &k_;
     Tid tid_;
-    Fd epfd_;
-    std::size_t maxEvents_;
-    sim::Tick timeout_; ///< -1 = block forever
+    std::int64_t syscall_;
     std::coroutine_handle<> h_;
-    std::shared_ptr<EpollInstance> ep_;
+};
+
+/**
+ * Awaitable epoll_wait(2) or select(2). Scans; if nothing is ready,
+ * blocks until a readiness edge, wakes after the wake latency and
+ * rescans, blocking again if the fds were drained meanwhile. A timeout
+ * or an injected spurious wakeup returns no fds. The two calls differ
+ * only in how they scan, arm and disarm: the epoll instance's waiter
+ * queue, or one readiness observer per selected fd.
+ */
+class PollOp : public SyscallOp, public ReadinessObserver
+{
+  public:
+    /** epoll_wait on @p ep. */
+    PollOp(Kernel &k, Tid tid, std::shared_ptr<EpollInstance> ep,
+           std::size_t max_events, sim::Tick timeout)
+        : SyscallOp(k, tid, Syscall::EpollWait), ep_(std::move(ep)),
+          maxEvents_(max_events), timeout_(timeout)
+    {}
+
+    /** select over @p fds. */
+    PollOp(Kernel &k, Tid tid, std::vector<Fd> fds, sim::Tick timeout)
+        : SyscallOp(k, tid, Syscall::Select), fds_(std::move(fds)),
+          timeout_(timeout)
+    {}
+
+    ~PollOp() override { disarm(); }
+
+    void await_suspend(std::coroutine_handle<> h);
+    std::vector<ReadyFd> await_resume() { return std::move(result_); }
+
+    /** Readiness edge on a selected fd. */
+    void onReadable(Fd) override { onWake(); }
+
+  private:
+    enum class State { Waiting, Waking, Done };
+
+    std::shared_ptr<EpollInstance> ep_; ///< null for select
+    std::vector<Fd> fds_;               ///< select's fd list
+    std::size_t maxEvents_ = 0;
+    sim::Tick timeout_; ///< -1 = block forever
     std::vector<ReadyFd> result_;
     State state_ = State::Waiting;
+    bool armed_ = false;
     EpollInstance::WaiterId waiterId_ = 0;
     sim::EventId timer_;
     sim::EventId spuriousTimer_;
 
+    std::vector<ReadyFd> scan();
+    void arm();
+    void disarm();
     void onWake();
     void onTimeout();
-    void onSpurious();
     void finishScan();
     void complete();
 };
 
-/** Awaitable select(2) over an explicit fd list (tailbench-style). */
-class SelectOp : public ReadinessObserver
+/**
+ * Awaitable recv- or send-family syscall. The EINTR restart (a fresh
+ * enter/exit pair) and the partial-I/O stepping (one short syscall per
+ * piece) live here; the two families supply only the transfer and the
+ * step that completes the last piece.
+ */
+class IoOp : public SyscallOp
 {
   public:
-    SelectOp(Kernel &k, Tid tid, std::vector<Fd> fds, sim::Tick timeout)
-        : k_(k), tid_(tid), fds_(std::move(fds)), timeout_(timeout)
+    void await_suspend(std::coroutine_handle<> h);
+
+  protected:
+    IoOp(Kernel &k, Tid tid, Fd fd, Syscall which)
+        : SyscallOp(k, tid, which), fd_(fd)
     {}
 
-    ~SelectOp() override;
+    /** Move the data; returns its bytes, or -EAGAIN. */
+    virtual std::int64_t transfer(fault::FaultInjector *f) = 0;
+    /** Complete the last (or only) piece of @p ret bytes. */
+    virtual void completeLast(std::int64_t ret) = 0;
 
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    std::vector<Fd> await_resume() { return std::move(result_); }
-
-    void onReadable(Fd fd) override;
+    Fd fd_;
 
   private:
-    enum class State { Waiting, Waking, Done };
+    unsigned restarts_ = 0;   ///< EINTR restarts so far
+    unsigned piecesLeft_ = 0; ///< partial syscalls still to issue
+    std::uint64_t bytesLeft_ = 0;
+    std::uint64_t pieceBytes_ = 0;
 
-    Kernel &k_;
-    Tid tid_;
-    std::vector<Fd> fds_;
-    sim::Tick timeout_;
-    std::coroutine_handle<> h_;
-    std::vector<Fd> result_;
-    State state_ = State::Waiting;
-    bool observing_ = false;
-    sim::EventId timer_;
-    sim::EventId spuriousTimer_;
-
-    void unobserve();
-    void onTimeout();
-    void onSpurious();
-    void finishScan();
-    void complete();
+    void start();
+    void partialStep();
 };
 
 /** Awaitable recv-family syscall (read / recvfrom / recvmsg). */
-class RecvOp
+class RecvOp final : public IoOp
 {
   public:
-    RecvOp(Kernel &k, Tid tid, Fd fd, Syscall which)
-        : k_(k), tid_(tid), fd_(fd), which_(which)
+    RecvOp(Kernel &k, Tid tid, Fd fd, Syscall which) : IoOp(k, tid, fd, which)
     {}
 
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h);
     RecvResult await_resume() { return std::move(result_); }
 
   private:
-    Kernel &k_;
-    Tid tid_;
-    Fd fd_;
-    Syscall which_;
-    std::coroutine_handle<> h_;
     RecvResult result_;
-    unsigned restarts_ = 0;       ///< EINTR restarts so far
-    unsigned piecesLeft_ = 0;     ///< partial-read syscalls still to issue
-    std::uint64_t bytesLeft_ = 0;
-    std::uint64_t pieceBytes_ = 0;
 
-    void start();
-    void partialStep();
+    std::int64_t transfer(fault::FaultInjector *f) override;
+    void completeLast(std::int64_t ret) override;
 };
 
 /** Awaitable send-family syscall (write / sendto / sendmsg). */
-class SendOp
+class SendOp final : public IoOp
 {
   public:
     SendOp(Kernel &k, Tid tid, Fd fd, Message msg, Syscall which)
-        : k_(k), tid_(tid), fd_(fd), msg_(std::move(msg)), which_(which)
+        : IoOp(k, tid, fd, which), msg_(std::move(msg))
     {}
 
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h);
+    /** The whole message's bytes, or -EAGAIN. */
     std::int64_t await_resume() const { return ret_; }
 
   private:
-    Kernel &k_;
-    Tid tid_;
-    Fd fd_;
     Message msg_;
-    Syscall which_;
-    std::coroutine_handle<> h_;
+    std::shared_ptr<Socket> sock_;
     std::int64_t ret_ = 0;
-    unsigned restarts_ = 0;       ///< EINTR restarts so far
-    unsigned piecesLeft_ = 0;     ///< partial-write syscalls still to issue
-    std::uint64_t bytesLeft_ = 0;
-    std::uint64_t pieceBytes_ = 0;
 
-    void start();
-    void partialStep();
+    std::int64_t transfer(fault::FaultInjector *f) override;
+    void completeLast(std::int64_t ret) override;
+};
+
+/**
+ * Awaitable park-and-wake-one wait (futex, io_uring_enter): fires
+ * sys_enter and parks in its owner's FIFO; wakeOne() resumes the oldest
+ * waiter, which exits with the op's return value after the wake latency.
+ */
+class WaitOp : public SyscallOp
+{
+  public:
+    using Queue = std::deque<WaitOp *>;
+
+    /** @p ready: nothing to wait for, so no syscall at all. */
+    WaitOp(Kernel &k, Tid tid, Syscall which, std::int64_t ret, Queue &queue,
+           bool ready = false)
+        : SyscallOp(k, tid, which), ret_(ret), queue_(queue), ready_(ready)
+    {}
+
+    bool await_ready() const { return ready_; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const {}
+
+    /** Wake the oldest waiter in @p queue. @return true if one was woken. */
+    static bool wakeOne(Queue &queue);
+
+  private:
+    std::int64_t ret_;
+    Queue &queue_;
+    bool ready_;
 };
 
 /** Awaitable accept(2): dequeues one pending connection. */
-class AcceptOp
+class AcceptOp : public SyscallOp
 {
   public:
     AcceptOp(Kernel &k, Tid tid, Fd listen_fd)
-        : k_(k), tid_(tid), listenFd_(listen_fd)
+        : SyscallOp(k, tid, Syscall::Accept), listenFd_(listen_fd)
     {}
 
-    bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<> h);
 
     /** New connection fd, or -EAGAIN if none pending. */
     Fd await_resume() const { return newFd_; }
 
   private:
-    Kernel &k_;
-    Tid tid_;
     Fd listenFd_;
-    std::coroutine_handle<> h_;
     Fd newFd_ = -11;
 };
 
@@ -252,20 +304,17 @@ class ComputeOp
 };
 
 /** Awaitable nanosleep(2). */
-class SleepOp
+class SleepOp : public SyscallOp
 {
   public:
     SleepOp(Kernel &k, Tid tid, sim::Tick duration)
-        : k_(k), tid_(tid), duration_(duration)
+        : SyscallOp(k, tid, Syscall::Nanosleep), duration_(duration)
     {}
 
-    bool await_ready() const { return false; }
     void await_suspend(std::coroutine_handle<> h);
     void await_resume() const {}
 
   private:
-    Kernel &k_;
-    Tid tid_;
     sim::Tick duration_;
 };
 
@@ -338,9 +387,9 @@ class Kernel
     /** @} */
 
     /** @name Awaitable syscalls (see the op classes above). @{ */
-    EpollWaitOp epollWait(Tid tid, Fd epfd, std::size_t max_events,
-                          sim::Tick timeout);
-    SelectOp select(Tid tid, std::vector<Fd> fds, sim::Tick timeout);
+    PollOp epollWait(Tid tid, Fd epfd, std::size_t max_events,
+                     sim::Tick timeout);
+    PollOp select(Tid tid, std::vector<Fd> fds, sim::Tick timeout);
     RecvOp recv(Tid tid, Fd fd, Syscall which = Syscall::Recvfrom);
     SendOp send(Tid tid, Fd fd, Message msg, Syscall which = Syscall::Sendto);
     AcceptOp accept(Tid tid, Fd listen_fd);
@@ -380,15 +429,9 @@ class Kernel
     std::uint64_t syscallCountFor(Pid pid) const;
 
   private:
-    friend class EpollWaitOp;
-    friend class FutexWaitOp;
-    friend class UringEnterOp;
-    friend class SelectOp;
-    friend class RecvOp;
-    friend class SendOp;
+    friend class SyscallOp;
     friend class AcceptOp;
     friend class ComputeOp;
-    friend class SleepOp;
 
     struct Process
     {
@@ -439,13 +482,6 @@ class Kernel
 
     /** Fire sys_exit; returns total probe cost. */
     sim::Tick fireExit(Tid tid, std::int64_t syscall, std::int64_t ret);
-
-    /**
-     * Fire sys_exit and resume @p h after the exit-probe cost. Shared
-     * completion path for all syscall ops.
-     */
-    void finishSyscall(Tid tid, std::int64_t syscall, std::int64_t ret,
-                       std::coroutine_handle<> h);
 
     /** Resume @p h now unless its coroutine already finished. */
     void resumeHandle(std::coroutine_handle<> h);

@@ -12,38 +12,11 @@
 #ifndef REQOBS_KERNEL_NOTIFIER_HH
 #define REQOBS_KERNEL_NOTIFIER_HH
 
-#include <coroutine>
-#include <cstdint>
-#include <deque>
+#include <cstddef>
 
 #include "kernel/kernel.hh"
 
 namespace reqobs::kernel {
-
-class Notifier;
-
-/** Awaitable futex-style wait; resumes on notifyOne(). */
-class FutexWaitOp
-{
-  public:
-    FutexWaitOp(Kernel &k, Tid tid, Notifier &notifier)
-        : k_(k), tid_(tid), notifier_(notifier)
-    {}
-
-    bool await_ready() const { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    void await_resume() const {}
-
-  private:
-    friend class Notifier;
-
-    Kernel &k_;
-    Tid tid_;
-    Notifier &notifier_;
-    std::coroutine_handle<> h_;
-
-    void wake();
-};
 
 /** FIFO wake-one notification object (a userspace futex word). */
 class Notifier
@@ -54,19 +27,21 @@ class Notifier
     Notifier(const Notifier &) = delete;
     Notifier &operator=(const Notifier &) = delete;
 
-    /** Awaitable blocking wait for @p tid. */
-    FutexWaitOp wait(Tid tid) { return FutexWaitOp(kernel_, tid, *this); }
+    /** Awaitable blocking futex wait for @p tid; exits with 0. */
+    WaitOp
+    wait(Tid tid)
+    {
+        return WaitOp(kernel_, tid, Syscall::Futex, 0, waiters_);
+    }
 
     /** Wake the oldest waiter, if any. @return true if one was woken. */
-    bool notifyOne();
+    bool notifyOne() { return WaitOp::wakeOne(waiters_); }
 
     std::size_t waiters() const { return waiters_.size(); }
 
   private:
-    friend class FutexWaitOp;
-
     Kernel &kernel_;
-    std::deque<FutexWaitOp *> waiters_;
+    WaitOp::Queue waiters_;
 };
 
 } // namespace reqobs::kernel

@@ -15,7 +15,6 @@ FrontDoorCounts::operator+=(const FrontDoorCounts &o)
     synQueueOverflows += o.synQueueOverflows;
     backlogOverflows += o.backlogOverflows;
     budgetDrops += o.budgetDrops;
-    shedDrops += o.shedDrops;
     retransmits += o.retransmits;
     accepted += o.accepted;
     failed += o.failed;
@@ -58,31 +57,23 @@ FrontDoor::start()
                 return acceptorBody(k, tid, i);
             });
     }
-    // Injected SYN flood: anonymous handshakes against the designated
-    // listener, paced by the injector's stream (knob-gated).
-    auto *inj = kernel_.faultInjector();
-    if (inj && inj->plan().synFloodRate > 0.0) {
-        const unsigned target =
-            std::min<unsigned>(inj->plan().synFloodListener,
-                               static_cast<unsigned>(listeners_.size()) - 1);
-        scheduleFlood(target);
-    }
+    // Injected SYN flood: anonymous handshakes against listener 0,
+    // paced by the injector's stream (knob-gated).
+    scheduleFlood();
 }
 
 void
-FrontDoor::scheduleFlood(unsigned listener)
+FrontDoor::scheduleFlood()
 {
     auto *inj = kernel_.faultInjector();
     if (!inj || inj->plan().synFloodRate <= 0.0)
         return;
-    sim_.schedule(inj->nextSynFloodDelay(), [this, listener] {
+    sim_.schedule(inj->nextSynFloodDelay(), [this] {
         if (auto *i = kernel_.faultInjector())
             i->noteSynFloodConn();
-        ++listeners_[listener]->counts.floodSyns;
-        ConnectOptions opts;
-        opts.sheddable = true;
-        connect(listener, std::move(opts));
-        scheduleFlood(listener);
+        ++listeners_[0]->counts.floodSyns;
+        connect(0, ConnectOptions{});
+        scheduleFlood();
     });
 }
 
@@ -163,16 +154,7 @@ FrontDoor::processSyn(std::uint64_t flow_id)
         dropAndRearm(flow_id);
         return;
     }
-    // Graceful degradation 1: pressure-shed best-effort flows while the
-    // accept backlog runs hot.
-    if (flow.opts.sheddable && l.config.shedAtBacklogFraction > 0.0 &&
-        static_cast<double>(l.backlog) >=
-            l.config.shedAtBacklogFraction * l.config.acceptBacklog) {
-        ++l.counts.shedDrops;
-        dropAndRearm(flow_id);
-        return;
-    }
-    // Graceful degradation 2: the controller's accept-budget clamp.
+    // Graceful degradation: the controller's accept-budget clamp.
     if (!budgetAdmit(l)) {
         ++l.counts.budgetDrops;
         dropAndRearm(flow_id);

@@ -26,13 +26,9 @@
  * can measure front-door latency = sock_accept ts − net_rx_enqueue ts
  * per flow, attributed per tenant (see ebpf/probes.hh FrontDoor probes).
  *
- * Graceful degradation hooks:
- *  - per-listener accept budget (token bucket): the FleetController's
- *    storm actuator; over-budget SYNs are dropped before they consume
- *    backlog slots or accept/serve CPU;
- *  - backlog pressure shedding: when a listener's accept backlog runs
- *    hotter than a configured fraction, best-effort (sheddable) SYNs
- *    are turned away so the backlog keeps room for first-class flows.
+ * Graceful degradation hook: a per-listener accept budget (token
+ * bucket), the FleetController's storm actuator; over-budget SYNs are
+ * dropped before they consume backlog slots or accept/serve CPU.
  *
  * Determinism: the front door is strictly opt-in and draws no random
  * numbers of its own; the only stochastic decisions (injected segment
@@ -71,11 +67,6 @@ struct ListenerConfig
     sim::Tick serviceDemand = sim::microseconds(40);
     /** Response payload size. */
     std::uint32_t responseBytes = 256;
-    /**
-     * Backlog pressure shedding: when backlog occupancy reaches this
-     * fraction of acceptBacklog, sheddable SYNs are dropped. 0 = off.
-     */
-    double shedAtBacklogFraction = 0.0;
 };
 
 /** Machine-level front-door tunables. */
@@ -103,7 +94,6 @@ struct FrontDoorCounts
     std::uint64_t synQueueOverflows = 0;///< half-open queue full
     std::uint64_t backlogOverflows = 0; ///< accept backlog full (or injected)
     std::uint64_t budgetDrops = 0;      ///< accept-budget actuator drops
-    std::uint64_t shedDrops = 0;        ///< pressure-shed drops
     std::uint64_t retransmits = 0;      ///< SYN retransmissions fired
     std::uint64_t accepted = 0;         ///< conns handed to userspace
     std::uint64_t failed = 0;           ///< gave up after maxSynRetries
@@ -116,7 +106,7 @@ struct FrontDoorCounts
     std::uint64_t drops() const
     {
         return ingressDrops + synQueueOverflows + backlogOverflows +
-               budgetDrops + shedDrops;
+               budgetDrops;
     }
 };
 
@@ -131,8 +121,6 @@ struct ConnectOptions
     std::function<void(std::shared_ptr<kernel::Socket>)> onEstablished;
     /** All retransmissions exhausted; the connection never happened. */
     std::function<void()> onFailed;
-    /** Best-effort flow: pressure shedding may turn it away. */
-    bool sheddable = false;
     /**
      * Slow-loris: hold the half-open slot this much longer than the
      * handshake RTT, then abandon (reaped, no callbacks). Models
@@ -246,7 +234,7 @@ class FrontDoor
     void completeHandshake(std::uint64_t flow_id);
     void dropAndRearm(std::uint64_t flow_id);
     bool budgetAdmit(Listener &l);
-    void scheduleFlood(unsigned listener);
+    void scheduleFlood();
     void onAccepted(unsigned listener, std::shared_ptr<kernel::Socket> sock);
     void fireTracepoint(kernel::TracepointId point, std::uint64_t flow_id,
                         kernel::Pid pid);

@@ -30,8 +30,8 @@ TcpPipe::send(kernel::Message &&msg)
     // busy connection (another segment within ~1 RTT generates dup-ACKs)
     // recovers by fast retransmit in about one RTT; everything else
     // costs an RTO with exponential backoff.
-    const bool fast_eligible = tcp_.fastRetransmit && lastSend_ >= 0 &&
-                               (now - lastSend_) <= rttEstimate_;
+    const bool fast_eligible =
+        lastSend_ >= 0 && (now - lastSend_) <= rttEstimate_;
     lastSend_ = now;
 
     sim::Tick rto_wait = 0;

@@ -39,15 +39,14 @@ struct TcpConfig
     /** Serialisation rate in bytes per microsecond (10 Gb/s ~ 1250). */
     double bytesPerUs = 1250.0;
     /**
-     * Fast-retransmit modelling: when the connection carried another
-     * segment within ~1 RTT of the drop, duplicate ACKs recover the loss
-     * in about one extra round trip instead of an RTO. Sparse
-     * connections (nothing in flight to generate dup-ACKs) always pay
-     * the RTO — which is why low-rate services like Triton suffer the
-     * Fig. 5 tail blow-up while memcached-style firehoses barely notice.
+     * Floor for the RTT estimate used by fast retransmit, which is always
+     * modelled: when the connection carried another segment within ~1 RTT
+     * of the drop, duplicate ACKs recover the loss in about one extra
+     * round trip instead of an RTO. Sparse connections (nothing in flight
+     * to generate dup-ACKs) always pay the RTO — which is why low-rate
+     * services like Triton suffer the Fig. 5 tail blow-up while
+     * memcached-style firehoses barely notice.
      */
-    bool fastRetransmit = true;
-    /** Floor for the RTT estimate used by fast retransmit. */
     sim::Tick minRttEstimate = sim::milliseconds(1);
 };
 

@@ -159,24 +159,17 @@ ServerApp::startPerThread(bool use_select)
     for (unsigned w = 0; w < workers; ++w) {
         if (shares[w].empty())
             continue;
-        if (use_select) {
-            auto fds = shares[w];
-            kernel_.spawnThread(frontPid_,
-                                [this, fds](Kernel &k, Tid tid) {
-                                    return selectWorker(k, tid, fds);
-                                });
-        } else {
-            auto fds = shares[w];
-            kernel_.spawnThread(
-                frontPid_, [this, fds](Kernel &k, Tid tid) {
-                    // Per-thread epoll instance, built by the thread
-                    // itself so the setup syscalls carry its tid.
-                    const Fd epfd = k.epollCreate(tid);
-                    for (Fd fd : fds)
-                        k.epollCtlAdd(tid, epfd, fd);
-                    return eventLoopWorker(k, tid, epfd);
-                });
-        }
+        kernel_.spawnThread(frontPid_, [this, use_select, fds = shares[w]](
+                                           Kernel &k, Tid tid) {
+            if (use_select)
+                return eventLoopWorker(k, tid, -1, fds);
+            // Per-thread epoll instance, built by the thread itself so
+            // the setup syscalls carry its tid.
+            const Fd epfd = k.epollCreate(tid);
+            for (Fd fd : fds)
+                k.epollCtlAdd(tid, epfd, fd);
+            return eventLoopWorker(k, tid, epfd, {});
+        });
     }
 }
 
@@ -286,10 +279,15 @@ ServerApp::startTwoStage()
 // ------------------------------------------------------- thread bodies
 
 Task
-ServerApp::eventLoopWorker(Kernel &k, Tid tid, Fd epfd)
+ServerApp::eventLoopWorker(Kernel &k, Tid tid, Fd epfd,
+                           std::vector<Fd> select_fds)
 {
     for (;;) {
-        auto ready = co_await k.epollWait(tid, epfd, 16, -1);
+        std::vector<kernel::ReadyFd> ready;
+        if (epfd >= 0)
+            ready = co_await k.epollWait(tid, epfd, 16, -1);
+        else
+            ready = co_await k.select(tid, select_fds, -1);
         for (const auto &r : ready) {
             auto rx = co_await k.recv(tid, r.fd, config_.recvSyscall);
             if (!rx.ok)
@@ -300,28 +298,6 @@ ServerApp::eventLoopWorker(Kernel &k, Tid tid, Fd epfd)
             const unsigned chunks = sampleChunks();
             for (unsigned c = 0; c < chunks; ++c) {
                 co_await k.send(tid, r.fd, makeResponse(rx.msg, c, chunks),
-                                config_.sendSyscall);
-            }
-            ++completed_;
-        }
-    }
-}
-
-Task
-ServerApp::selectWorker(Kernel &k, Tid tid, std::vector<Fd> fds)
-{
-    for (;;) {
-        auto ready = co_await k.select(tid, fds, -1);
-        for (Fd fd : ready) {
-            auto rx = co_await k.recv(tid, fd, config_.recvSyscall);
-            if (!rx.ok)
-                continue;
-            auto sock = k.socketAt(frontPid_, fd);
-            maybeContend(sock && sock->rxDepth() > 0);
-            co_await k.compute(tid, sampleDemand());
-            const unsigned chunks = sampleChunks();
-            for (unsigned c = 0; c < chunks; ++c) {
-                co_await k.send(tid, fd, makeResponse(rx.msg, c, chunks),
                                 config_.sendSyscall);
             }
             ++completed_;

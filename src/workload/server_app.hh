@@ -156,10 +156,11 @@ class ServerApp
     void startTwoStage();
 
     /** @name Thread bodies. @{ */
+    /** Poll loop: epoll_wait on @p epfd, or select over @p select_fds
+     *  when @p epfd < 0. */
     kernel::Task eventLoopWorker(kernel::Kernel &k, kernel::Tid tid,
-                                 kernel::Fd epfd);
-    kernel::Task selectWorker(kernel::Kernel &k, kernel::Tid tid,
-                              std::vector<kernel::Fd> fds);
+                                 kernel::Fd epfd,
+                                 std::vector<kernel::Fd> select_fds);
     kernel::Task dispatcherThread(kernel::Kernel &k, kernel::Tid tid,
                                   kernel::Fd epfd);
     kernel::Task poolWorker(kernel::Kernel &k, kernel::Tid tid,

@@ -362,6 +362,36 @@ TEST(TenantScopedAgentTest, ZeroedSlotTearsExactlyOneTick)
     }
 }
 
+TEST(TenantScopedAgentTest, FailedOptionalProbeDegradesHealth)
+{
+    // Under tolerateAttachFailures a sketch or runqlat program that fails
+    // to attach must show: otherwise topTenants() reads empty and every
+    // runqP99Ns reads 0, like an uncontended tenant, on a healthy agent.
+    for (const char *program : {"send.heavy_hitter", "runq.switch"}) {
+        SCOPED_TRACE(program);
+        TwoTenantMachine m(0.3, 0.3);
+        fault::FaultPlan plan;
+        plan.attachFailProbability = 1.0;
+        plan.attachFailPrograms = {program};
+        fault::FaultInjector inj(plan, m.sim.forkRng());
+        core::AgentConfig ac;
+        ac.heavyHitterSketch = true;
+        ac.runqlatHistogram = true;
+        ac.tolerateAttachFailures = true;
+        core::ObservabilityAgent agent(m.machine.kernel(), m.bindings(), ac);
+        agent.runtime().setFaultInjector(&inj);
+        m.start(agent);
+        m.sim.runFor(sim::milliseconds(500));
+
+        const core::AgentHealth &h = agent.health();
+        EXPECT_TRUE(h.sendAttached && h.recvAttached && h.pollAttached);
+        EXPECT_EQ(h.optionalAttachFails, 1u);
+        EXPECT_TRUE(h.degraded());
+        ASSERT_FALSE(agent.tenant(0).samples().empty());
+        EXPECT_TRUE(agent.tenant(0).samples().back().health.degraded());
+    }
+}
+
 TEST(TenantScopedAgentTest, TopTenantsRanksTheNoisiestFirst)
 {
     // Slot 1 sends at ten times slot 0's rate; the in-kernel sketch

@@ -449,11 +449,10 @@ experimentBytes(const core::ExperimentResult &r)
          (ull)sv.failedStarts, (ull)sv.mapWipes, (ull)sv.checkpoints,
          (ull)sv.restores, (int)sv.circuitOpen, (long long)sv.downtime);
     const net::FrontDoorCounts &d = r.frontDoorCounts;
-    emit("door %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu "
+    emit("door %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu "
          "p50=%llu p99=%llu storm=%llu,%llu,%llu\n",
          (ull)d.syns, (ull)d.ingressDrops, (ull)d.synQueueOverflows,
-         (ull)d.backlogOverflows, (ull)d.budgetDrops, (ull)d.shedDrops,
-         (ull)d.retransmits, (ull)d.accepted, (ull)d.failed,
+         (ull)d.backlogOverflows, (ull)d.budgetDrops, (ull)d.retransmits, (ull)d.accepted, (ull)d.failed,
          (ull)d.lorisReaped, (ull)d.floodSyns,
          (ull)r.frontDoorAcceptP50Ns, (ull)r.frontDoorAcceptP99Ns,
          (ull)r.stormEstablished, (ull)r.stormFailed,

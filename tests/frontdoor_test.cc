@@ -223,7 +223,6 @@ TEST(FrontDoorDeterminism, StormRunsReplayBitForBit)
     EXPECT_EQ(a.frontDoorCounts.backlogOverflows,
               b.frontDoorCounts.backlogOverflows);
     EXPECT_EQ(a.frontDoorCounts.budgetDrops, b.frontDoorCounts.budgetDrops);
-    EXPECT_EQ(a.frontDoorCounts.shedDrops, b.frontDoorCounts.shedDrops);
     EXPECT_EQ(a.frontDoorCounts.retransmits, b.frontDoorCounts.retransmits);
     EXPECT_EQ(a.frontDoorCounts.accepted, b.frontDoorCounts.accepted);
     EXPECT_EQ(a.frontDoorCounts.failed, b.frontDoorCounts.failed);

@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <ostream>
 #include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,14 @@
 #include "sim/simulation.hh"
 
 namespace reqobs::kernel {
+
+/** Parameterised test names print the syscall, not its bytes. */
+void
+PrintTo(Syscall s, std::ostream *os)
+{
+    *os << syscallName(syscallId(s));
+}
+
 namespace {
 
 /** Records every tracepoint event for assertions. */
@@ -590,7 +601,7 @@ TEST(KernelSyscallTest, SelectWakesOnData)
     const Pid pid = h.kernel.createProcess("sel");
     auto [fd1, s1] = h.kernel.installSocket(pid, 1);
     auto [fd2, s2] = h.kernel.installSocket(pid, 2);
-    std::vector<Fd> got;
+    std::vector<ReadyFd> got;
     h.kernel.spawnThread(
         pid, [fd1 = fd1, fd2 = fd2, &got](Kernel &k, Tid tid) -> Task {
             std::vector<Fd> fds{fd1, fd2};
@@ -601,9 +612,144 @@ TEST(KernelSyscallTest, SelectWakesOnData)
                    [&, sk] { sk->deliver(Message{}, h.sim.now()); });
     h.sim.runFor(sim::milliseconds(1));
     ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], fd2);
+    EXPECT_EQ(got[0].fd, fd2);
     EXPECT_GE(h.log.countOf(Syscall::Select, TracepointId::SysExit), 1u);
 }
+
+// ---------------------------------------------------------- poll contract
+
+/**
+ * epoll_wait and select share one blocking life cycle: scan, block, wake
+ * after the wake latency, rescan, then return, block again or time out.
+ * Each case runs one poll of one socket and checks the syscall's exact
+ * enter/exit timestamps (the probes here cost nothing).
+ */
+class PollContractTest : public testing::TestWithParam<Syscall>
+{
+  protected:
+    /** Declared before the harness: the injector outlives the kernel. */
+    std::unique_ptr<fault::FaultInjector> fault;
+    Harness h;
+    Pid pid = h.kernel.createProcess("poll");
+    Fd fd = -1;
+    std::shared_ptr<Socket> sock;
+    bool returned = false;
+    std::vector<Fd> got;
+
+    PollContractTest() { std::tie(fd, sock) = h.kernel.installSocket(pid, 1); }
+
+    /** Start one thread that polls the socket once with @p timeout. */
+    void
+    startPoll(sim::Tick timeout)
+    {
+        h.kernel.spawnThread(pid, [this, timeout](Kernel &k, Tid tid) {
+            return pollOnce(k, tid, timeout);
+        });
+    }
+
+    Task
+    pollOnce(Kernel &k, Tid tid, sim::Tick timeout)
+    {
+        std::vector<ReadyFd> ready;
+        if (GetParam() == Syscall::EpollWait) {
+            const Fd epfd = k.epollCreate(tid);
+            k.epollCtlAdd(tid, epfd, fd);
+            ready = co_await k.epollWait(tid, epfd, 4, timeout);
+        } else {
+            std::vector<Fd> fds{fd};
+            ready = co_await k.select(tid, std::move(fds), timeout);
+        }
+        got = readyFds(ready);
+        returned = true;
+    }
+
+    void
+    deliverAt(sim::Tick when)
+    {
+        h.sim.schedule(when, [this] { sock->deliver(Message{}, h.sim.now()); });
+    }
+
+    /** Timestamps of the poll syscall's events at @p point. */
+    std::vector<sim::Tick>
+    stamps(TracepointId point) const
+    {
+        std::vector<sim::Tick> out;
+        for (const auto &ev : h.log.events) {
+            if (ev.syscall == syscallId(GetParam()) && ev.point == point)
+                out.push_back(ev.timestamp);
+        }
+        return out;
+    }
+};
+
+TEST_P(PollContractTest, TimeoutReturnsEmptyAtTheDeadline)
+{
+    startPoll(sim::milliseconds(1));
+    h.sim.runFor(sim::milliseconds(5));
+    ASSERT_TRUE(returned);
+    EXPECT_TRUE(got.empty());
+    const auto enters = stamps(TracepointId::SysEnter);
+    const auto exits = stamps(TracepointId::SysExit);
+    ASSERT_EQ(enters.size(), 1u);
+    ASSERT_EQ(exits.size(), 1u);
+    EXPECT_EQ(exits[0] - enters[0], sim::milliseconds(1));
+}
+
+TEST_P(PollContractTest, DataRacingTheDeadlineWins)
+{
+    // Data lands 0.5 us before the deadline, so the wake is still in
+    // flight when the timer fires: readiness supersedes the timeout.
+    startPoll(sim::milliseconds(1));
+    const sim::Tick landed = sim::milliseconds(1) - sim::nanoseconds(500);
+    deliverAt(landed);
+    h.sim.runFor(sim::milliseconds(5));
+    ASSERT_TRUE(returned);
+    EXPECT_EQ(got, std::vector<Fd>{fd});
+    EXPECT_EQ(stamps(TracepointId::SysEnter), std::vector<sim::Tick>{0});
+    EXPECT_EQ(stamps(TracepointId::SysExit),
+              std::vector<sim::Tick>{landed + h.kernel.config().wakeLatency});
+}
+
+TEST_P(PollContractTest, FdDrainedBeforeTheRescanBlocksAgain)
+{
+    startPoll(-1);
+    deliverAt(sim::microseconds(100));
+    // Another reader drains the fd while the wake is in flight.
+    h.sim.schedule(sim::microseconds(100) + sim::nanoseconds(500),
+                   [this] { sock->pop(); });
+    deliverAt(sim::microseconds(300));
+    h.sim.runFor(sim::milliseconds(1));
+    ASSERT_TRUE(returned);
+    EXPECT_EQ(got, std::vector<Fd>{fd});
+    EXPECT_EQ(stamps(TracepointId::SysEnter), std::vector<sim::Tick>{0});
+    EXPECT_EQ(stamps(TracepointId::SysExit),
+              std::vector<sim::Tick>{sim::microseconds(300) +
+                                     h.kernel.config().wakeLatency});
+}
+
+TEST_P(PollContractTest, SpuriousWakeupReturnsEmpty)
+{
+    fault::FaultPlan plan;
+    plan.spuriousWakeupProbability = 1.0;
+    fault = std::make_unique<fault::FaultInjector>(plan, sim::Rng(7));
+    h.kernel.setFaultInjector(fault.get());
+    startPoll(-1);
+    h.sim.runFor(sim::milliseconds(1));
+    ASSERT_TRUE(returned);
+    EXPECT_TRUE(got.empty());
+    const auto enters = stamps(TracepointId::SysEnter);
+    const auto exits = stamps(TracepointId::SysExit);
+    ASSERT_EQ(enters.size(), 1u);
+    ASSERT_EQ(exits.size(), 1u);
+    EXPECT_EQ(exits[0] - enters[0], plan.spuriousWakeupDelay);
+    EXPECT_EQ(fault->counts().spuriousWakeups, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPollCalls, PollContractTest,
+                         testing::Values(Syscall::EpollWait, Syscall::Select),
+                         [](const testing::TestParamInfo<Syscall> &info) {
+                             return syscallName(syscallId(info.param));
+                         });
 
 TEST(KernelSyscallTest, AcceptDrainsListenQueue)
 {
