@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "fault/fault.hh"
 #include "sim/logging.hh"
@@ -106,12 +105,11 @@ CpuModel::cancel(JobId id)
         advance();
         const auto it = std::find(ids_.begin(), ids_.end(), id);
         if (it != ids_.end()) {
-            const auto i = static_cast<std::size_t>(it - ids_.begin());
+            const auto i = it - ids_.begin();
             takeCallback(cbSlot_[i]);
-            removeJob(i);
-            if (!remaining_.empty())
-                minRemaining_ = *std::min_element(remaining_.begin(),
-                                                  remaining_.end());
+            remaining_.erase(remaining_.begin() + i);
+            ids_.erase(it);
+            cbSlot_.erase(cbSlot_.begin() + i);
             reschedule();
         }
         return;
@@ -194,7 +192,6 @@ CpuModel::advance()
         const double work = elapsed * rate;
         for (double &r : remaining_)
             r -= work;
-        minRemaining_ -= work;
         served_ += work * static_cast<double>(remaining_.size());
     }
     lastAdvance_ = now;
@@ -217,11 +214,13 @@ CpuModel::submitGps(sim::Tick demand, std::function<void()> on_done)
         callbackFree_.pop_back();
         callbacks_[slot] = std::move(on_done);
     }
-    minRemaining_ =
-        remaining_.empty() ? work : std::min(minRemaining_, work);
-    remaining_.push_back(work);
-    ids_.push_back(id);
-    cbSlot_.push_back(slot);
+    // After the jobs with as much work left or more.
+    const auto i = std::upper_bound(remaining_.begin(), remaining_.end(),
+                                    work, std::greater<>()) -
+                   remaining_.begin();
+    remaining_.insert(remaining_.begin() + i, work);
+    ids_.insert(ids_.begin() + i, id);
+    cbSlot_.insert(cbSlot_.begin() + i, slot);
     reschedule();
     return id;
 }
@@ -236,50 +235,34 @@ CpuModel::takeCallback(std::uint32_t slot)
 }
 
 void
-CpuModel::removeJob(std::size_t i)
-{
-    remaining_[i] = remaining_.back();
-    remaining_.pop_back();
-    ids_[i] = ids_.back();
-    ids_.pop_back();
-    cbSlot_[i] = cbSlot_.back();
-    cbSlot_.pop_back();
-}
-
-void
 CpuModel::reschedule()
 {
-    // Always a fresh event, even when the tick is unchanged: events on
-    // one tick run in scheduling order, and the new seq is part of it.
-    completionEvent_.cancel();
-    if (remaining_.empty())
+    if (remaining_.empty()) {
+        completionEvent_.cancel();
         return;
-    const double rate = currentRate();
-    const double dt = std::max(0.0, minRemaining_) / rate;
-    const sim::Tick delay =
-        static_cast<sim::Tick>(std::ceil(std::max(0.0, dt)));
-    completionEvent_ = sim_.schedule(delay, [this] { onCompletion(); });
+    }
+    const double dt = std::max(0.0, remaining_.back()) / currentRate();
+    const sim::Tick when =
+        sim_.now() + static_cast<sim::Tick>(std::ceil(std::max(0.0, dt)));
+    // A new seq even when the tick is unchanged: events on one tick run
+    // in scheduling order, and requeue() keys the event as a cancel plus
+    // a schedule would.
+    if (!completionEvent_.requeue(when))
+        completionEvent_ = sim_.scheduleAt(when, [this] { onCompletion(); });
 }
 
 void
 CpuModel::onCompletion()
 {
     advance();
-    // One pass: swap-remove finished jobs (the job swapped in is looked
-    // at next) and take the survivors' minimum.
+    // The finished jobs are the ones with the least work left: the back.
     finished_.clear();
-    double min_left = std::numeric_limits<double>::infinity();
-    std::size_t i = 0;
-    while (i < remaining_.size()) {
-        if (remaining_[i] <= kEpsilon) {
-            finished_.emplace_back(ids_[i], cbSlot_[i]);
-            removeJob(i);
-        } else {
-            min_left = std::min(min_left, remaining_[i]);
-            ++i;
-        }
+    while (!remaining_.empty() && remaining_.back() <= kEpsilon) {
+        finished_.emplace_back(ids_.back(), cbSlot_.back());
+        remaining_.pop_back();
+        ids_.pop_back();
+        cbSlot_.pop_back();
     }
-    minRemaining_ = min_left;
     completed_ += finished_.size();
     reschedule();
     // Run callbacks after rescheduling (they commonly submit new jobs),

@@ -224,19 +224,15 @@ class CpuModel
     SchedEventHook hook_;
     fault::FaultInjector *fault_ = nullptr;
 
-    // GPS state: one entry per active job in three parallel arrays, in
-    // no particular order (a finished or cancelled job is swap-removed).
-    // Callbacks of jobs finishing together are sorted by id before they
-    // fire, which keeps the submission-order contract.
+    // GPS state: one entry per active job in three parallel arrays,
+    // sorted by remaining work, largest first. advance() subtracts the
+    // same rounded work from every job and rounding is monotone, so the
+    // order holds; the minimum is the back, and finished jobs pop off
+    // it. Callbacks of jobs finishing together are sorted by id before
+    // they fire, which keeps the submission-order contract.
     std::vector<double> remaining_;    ///< demand left, in CPU ticks
     std::vector<JobId> ids_;
     std::vector<std::uint32_t> cbSlot_; ///< index into callbacks_
-    /**
-     * min(remaining_) whenever jobs are active. advance() subtracts the
-     * same rounded work from every job and from this copy; rounding is
-     * monotone, so the carried value equals a re-scan bit for bit.
-     */
-    double minRemaining_ = 0.0;
     /** Completion callbacks, recycled through callbackFree_. */
     std::vector<std::function<void()>> callbacks_;
     std::vector<std::uint32_t> callbackFree_;
@@ -266,8 +262,6 @@ class CpuModel
     void reschedule();
     void onCompletion();
     JobId submitGps(sim::Tick demand, std::function<void()> on_done);
-    /** Swap-remove job @p i; its callback slot is the caller's to free. */
-    void removeJob(std::size_t i);
     /**
      * Move a callback out of the pool and free its slot. The caller
      * runs (or drops) what is returned, so a callback that submits jobs

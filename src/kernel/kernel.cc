@@ -22,6 +22,29 @@ tracepointTimestamp(sim::Tick now, fault::FaultInjector *fault)
     return now + jitter;
 }
 
+/**
+ * Entry @p id of a table indexed by id - @p first, or null if the id
+ * was never handed out (entryAt() panics). Ids below @p first wrap
+ * past the end.
+ */
+template <typename Table>
+auto *
+entryOf(Table &table, std::uint32_t id, std::uint32_t first)
+{
+    const std::uint32_t i = id - first;
+    return i < table.size() ? &table[i] : nullptr;
+}
+
+template <typename Table>
+auto &
+entryAt(Table &table, std::uint32_t id, std::uint32_t first, const char *what)
+{
+    auto *entry = entryOf(table, id, first);
+    if (!entry)
+        sim::panic("Kernel: unknown %s %u", what, id);
+    return *entry;
+}
+
 } // namespace
 
 Kernel::Kernel(sim::Simulation &sim, const KernelConfig &config)
@@ -60,7 +83,7 @@ Kernel::~Kernel()
     // Destroy every coroutine frame we still own. Frames suspended at a
     // syscall awaiter unwind their locals; their pending events never
     // run, because nothing pumps the queue after this (DESIGN.md §16).
-    for (auto &[tid, thread] : threads_) {
+    for (Thread &thread : threads_) {
         if (thread.coro)
             thread.coro.destroy();
     }
@@ -68,41 +91,18 @@ Kernel::~Kernel()
 
 // --------------------------------------------------------------- helpers
 
-Kernel::Process &
-Kernel::processOf(Pid pid)
+const Kernel::Thread &
+Kernel::threadOf(Tid tid) const
 {
-    auto it = processes_.find(pid);
-    if (it == processes_.end())
-        sim::panic("Kernel: unknown pid %u", pid);
-    return it->second;
-}
-
-const Kernel::Process &
-Kernel::processOf(Pid pid) const
-{
-    auto it = processes_.find(pid);
-    if (it == processes_.end())
-        sim::panic("Kernel: unknown pid %u", pid);
-    return it->second;
-}
-
-Kernel::Thread &
-Kernel::threadOf(Tid tid)
-{
-    auto it = threads_.find(tid);
-    if (it == threads_.end())
-        sim::panic("Kernel: unknown tid %u", tid);
-    return it->second;
+    return entryAt(threads_, tid, kFirstTid, "tid");
 }
 
 Fd
 Kernel::installFile(Pid pid, std::shared_ptr<File> file)
 {
-    Process &proc = processOf(pid);
-    const Fd fd = proc.nextFd++;
-    proc.fds.resize(fd); // first install: fds 0-2 stay empty
+    Process &proc = entryAt(processes_, pid, kFirstPid, "pid");
     proc.fds.push_back(std::move(file));
-    return fd;
+    return static_cast<Fd>(proc.fds.size() - 1);
 }
 
 void
@@ -115,12 +115,13 @@ Kernel::resumeHandle(std::coroutine_handle<> h)
 sim::Tick
 Kernel::fireEnter(Tid tid, std::int64_t syscall)
 {
+    const Thread &thread = threadOf(tid);
     ++syscalls_;
-    ++syscallsByTgid_[threadOf(tid).pid];
+    ++thread.proc->syscalls;
     RawSyscallEvent ev;
     ev.point = TracepointId::SysEnter;
     ev.syscall = syscall;
-    ev.pidTgid = pidTgidOf(tid);
+    ev.pidTgid = thread.pidTgid;
     ev.timestamp = tracepointTimestamp(sim_.now(), fault_);
     return tracepoints_.fire(ev);
 }
@@ -132,7 +133,7 @@ Kernel::fireExit(Tid tid, std::int64_t syscall, std::int64_t ret)
     ev.point = TracepointId::SysExit;
     ev.syscall = syscall;
     ev.ret = ret;
-    ev.pidTgid = pidTgidOf(tid);
+    ev.pidTgid = threadOf(tid).pidTgid;
     ev.timestamp = tracepointTimestamp(sim_.now(), fault_);
     return tracepoints_.fire(ev);
 }
@@ -142,39 +143,37 @@ Kernel::fireExit(Tid tid, std::int64_t syscall, std::int64_t ret)
 Pid
 Kernel::createProcess(const std::string &name)
 {
-    const Pid pid = nextPid_++;
-    Process proc;
-    proc.pid = pid;
+    const Pid pid = kFirstPid + static_cast<Pid>(processes_.size());
+    Process &proc = processes_.emplace_back();
     proc.name = name;
-    processes_.emplace(pid, std::move(proc));
+    proc.fds.resize(3); // fds 0-2 stay empty
     return pid;
 }
 
 const std::string &
 Kernel::processName(Pid pid) const
 {
-    return processOf(pid).name;
+    return entryAt(processes_, pid, kFirstPid, "pid").name;
 }
 
 Tid
 Kernel::spawnThread(Pid pid, ThreadBody body)
 {
-    processOf(pid); // validate
-    const Tid tid = nextTid_++;
-    Thread rec;
-    rec.tid = tid;
-    rec.pid = pid;
+    Process &proc = entryAt(processes_, pid, kFirstPid, "pid");
+    const Tid tid = kFirstTid + static_cast<Tid>(threads_.size());
+    Thread &rec = threads_.emplace_back();
+    rec.pidTgid = makePidTgid(pid, tid);
+    rec.proc = &proc;
     rec.body = std::move(body);
-    threads_.emplace(tid, std::move(rec));
 
     // Invoke the *stored* closure: its captures must outlive the
     // coroutine frame (see Thread::body).
-    Task task = threads_.at(tid).body(*this, tid);
+    Task task = rec.body(*this, tid);
     Task::Handle h = task.release();
     if (!h)
         sim::panic("Kernel::spawnThread: body returned an empty task");
-    h.promise().onFinal = [this, tid] { threads_.at(tid).finished = true; };
-    threads_.at(tid).coro = h;
+    h.promise().onFinal = [&rec] { rec.finished = true; };
+    rec.coro = h;
     sim_.schedule(0, [this, h] { resumeHandle(h); });
     return tid;
 }
@@ -182,24 +181,21 @@ Kernel::spawnThread(Pid pid, ThreadBody body)
 PidTgid
 Kernel::pidTgidOf(Tid tid) const
 {
-    auto it = threads_.find(tid);
-    if (it == threads_.end())
-        sim::panic("Kernel::pidTgidOf: unknown tid %u", tid);
-    return makePidTgid(it->second.pid, tid);
+    return threadOf(tid).pidTgid;
 }
 
 bool
 Kernel::threadFinished(Tid tid) const
 {
-    auto it = threads_.find(tid);
-    return it != threads_.end() && it->second.finished;
+    const Thread *thread = entryOf(threads_, tid, kFirstTid);
+    return thread && thread->finished;
 }
 
 std::uint64_t
 Kernel::syscallCountFor(Pid pid) const
 {
-    auto it = syscallsByTgid_.find(pid);
-    return it != syscallsByTgid_.end() ? it->second : 0;
+    const Process *proc = entryOf(processes_, pid, kFirstPid);
+    return proc ? proc->syscalls : 0;
 }
 
 // ----------------------------------------------------- descriptor setup
@@ -207,9 +203,9 @@ Kernel::syscallCountFor(Pid pid) const
 Fd
 Kernel::epollCreate(Tid tid)
 {
-    Thread &t = threadOf(tid);
+    const Pid pid = tgidOf(threadOf(tid).pidTgid);
     fireEnter(tid, syscallId(Syscall::EpollCreate1));
-    const Fd fd = installFile(t.pid, std::make_shared<EpollInstance>());
+    const Fd fd = installFile(pid, std::make_shared<EpollInstance>());
     fireExit(tid, syscallId(Syscall::EpollCreate1), fd);
     return fd;
 }
@@ -217,12 +213,12 @@ Kernel::epollCreate(Tid tid)
 void
 Kernel::epollCtlAdd(Tid tid, Fd epfd, Fd fd)
 {
-    Thread &t = threadOf(tid);
+    const Pid pid = tgidOf(threadOf(tid).pidTgid);
     fireEnter(tid, syscallId(Syscall::EpollCtl));
-    auto ep = epollAt(t.pid, epfd);
+    auto ep = epollAt(pid, epfd);
     if (!ep)
         sim::fatal("epoll_ctl: fd %d is not an epoll instance", epfd);
-    auto file = fileAt(t.pid, fd);
+    auto file = fileAt(pid, fd);
     if (!file)
         sim::fatal("epoll_ctl: fd %d does not exist", fd);
     ep->add(fd, file);
@@ -232,13 +228,13 @@ Kernel::epollCtlAdd(Tid tid, Fd epfd, Fd fd)
 Fd
 Kernel::listen(Tid tid)
 {
-    Thread &t = threadOf(tid);
+    const Pid pid = tgidOf(threadOf(tid).pidTgid);
     fireEnter(tid, syscallId(Syscall::Socket));
     fireExit(tid, syscallId(Syscall::Socket), 0);
     fireEnter(tid, syscallId(Syscall::Bind));
     fireExit(tid, syscallId(Syscall::Bind), 0);
     fireEnter(tid, syscallId(Syscall::Listen));
-    const Fd fd = installFile(t.pid, std::make_shared<ListenSocket>());
+    const Fd fd = installFile(pid, std::make_shared<ListenSocket>());
     fireExit(tid, syscallId(Syscall::Listen), 0);
     return fd;
 }
@@ -293,7 +289,7 @@ Kernel::socketPair(Pid pid_a, Pid pid_b, sim::Tick latency)
 std::shared_ptr<File>
 Kernel::fileAt(Pid pid, Fd fd) const
 {
-    const Process &proc = processOf(pid);
+    const Process &proc = entryAt(processes_, pid, kFirstPid, "pid");
     if (fd < 0 || static_cast<std::size_t>(fd) >= proc.fds.size())
         return nullptr;
     return proc.fds[fd];
@@ -322,7 +318,7 @@ Kernel::listenerAt(Pid pid, Fd fd) const
 PollOp
 Kernel::epollWait(Tid tid, Fd epfd, std::size_t max_events, sim::Tick timeout)
 {
-    auto ep = epollAt(threadOf(tid).pid, epfd);
+    auto ep = epollAt(tgidOf(threadOf(tid).pidTgid), epfd);
     if (!ep)
         sim::fatal("epoll_wait: fd %d is not an epoll instance", epfd);
     return PollOp(*this, tid, std::move(ep), max_events, timeout);
@@ -396,7 +392,7 @@ SyscallOp::finish(std::int64_t ret)
 Pid
 SyscallOp::pid() const
 {
-    return k_.threadOf(tid_).pid;
+    return tgidOf(k_.threadOf(tid_).pidTgid);
 }
 
 // --------------------------------------------------------------- PollOp

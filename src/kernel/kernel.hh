@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -433,19 +432,23 @@ class Kernel
     friend class AcceptOp;
     friend class ComputeOp;
 
+    /** Ids are dense counters from here, and index the tables below. */
+    static constexpr Pid kFirstPid = 1000;
+    static constexpr Tid kFirstTid = 5000;
+
     struct Process
     {
-        Pid pid;
         std::string name;
-        /** Open files indexed by fd; nothing is ever closed. */
+        /** Open files indexed by fd (0-2 stay empty); none ever closes. */
         std::deque<std::shared_ptr<File>> fds;
-        Fd nextFd = 3;
+        /** Syscalls dispatched by the process's threads. */
+        std::uint64_t syscalls = 0;
     };
 
     struct Thread
     {
-        Tid tid;
-        Pid pid;
+        PidTgid pidTgid = 0; ///< the tgid is the owning process's pid
+        Process *proc = nullptr;
         /**
          * The body closure, kept alive for the thread's whole life: a
          * lambda coroutine's captures live in the closure object, so
@@ -461,19 +464,16 @@ class Kernel
     KernelConfig config_;
     std::unique_ptr<CpuModel> cpu_;
     TracepointRegistry tracepoints_;
-    std::map<Pid, Process> processes_;
-    std::map<Tid, Thread> threads_;
-    Pid nextPid_ = 1000;
-    Tid nextTid_ = 5000;
+    /** Deques that never shrink: references to entries stay valid. */
+    std::deque<Process> processes_;
+    std::deque<Thread> threads_;
     /** Connection ids of socketPair() sockets, counted per kernel. */
     std::uint64_t nextPairId_ = 1u << 30;
     std::uint64_t syscalls_ = 0;
-    std::map<Pid, std::uint64_t> syscallsByTgid_;
     fault::FaultInjector *fault_ = nullptr;
 
-    Process &processOf(Pid pid);
-    const Process &processOf(Pid pid) const;
-    Thread &threadOf(Tid tid);
+    /** An id that was never handed out panics. */
+    const Thread &threadOf(Tid tid) const;
 
     Fd installFile(Pid pid, std::shared_ptr<File> file);
 

@@ -21,7 +21,13 @@ void
 EventId::retime(Tick when)
 {
     if (queue_)
-        queue_->retimeSlot(slot_, gen_, when);
+        queue_->rekeySlot(slot_, gen_, when, /*fresh_seq=*/false);
+}
+
+bool
+EventId::requeue(Tick when)
+{
+    return queue_ && queue_->rekeySlot(slot_, gen_, when, /*fresh_seq=*/true);
 }
 
 bool
@@ -81,13 +87,18 @@ EventQueue::removeAt(std::size_t i)
     pos_[heap_[i].slot] = kNotQueued;
     const HeapEntry last = heap_.back();
     heap_.pop_back();
+    if (i < heap_.size())
+        refill(i, last);
+}
+
+void
+EventQueue::refill(std::size_t i, HeapEntry e)
+{
+    // Sink the hole to a leaf along the smaller children first (one
+    // comparison per level), then let the entry climb from there, above
+    // i if it must. The last entry, which removeAt() moves, nearly
+    // always belongs near the bottom.
     const std::size_t n = heap_.size();
-    if (i == n)
-        return;
-    // Refill the hole with the last entry. That entry nearly always
-    // belongs near the bottom, so sink the hole to a leaf along the
-    // smaller children first (one comparison per level), then let the
-    // entry climb from there, above i if it must.
     for (;;) {
         std::size_t child = 2 * i + 1;
         if (child >= n)
@@ -98,7 +109,7 @@ EventQueue::removeAt(std::size_t i)
         pos_[heap_[i].slot] = static_cast<std::uint32_t>(i);
         i = child;
     }
-    siftUp(i, last);
+    siftUp(i, e);
 }
 
 bool
@@ -150,19 +161,21 @@ EventQueue::cancelSlot(std::uint32_t slot, std::uint32_t gen)
     cancelled_ = slot;
 }
 
-void
-EventQueue::retimeSlot(std::uint32_t slot, std::uint32_t gen, Tick when)
+bool
+EventQueue::rekeySlot(std::uint32_t slot, std::uint32_t gen, Tick when,
+                      bool fresh_seq)
 {
     if (!slotPending(slot, gen))
-        return;
+        return false;
     if (when < lastPopped_)
-        panic("EventQueue: retiming into the past (%lld < %lld)",
+        panic("EventQueue: moving an event into the past (%lld < %lld)",
               (long long)when, (long long)lastPopped_);
     HeapEntry e = heap_[pos_[slot]];
     e.when = when;
-    removeAt(pos_[slot]);
-    heap_.emplace_back();
-    siftUp(heap_.size() - 1, e);
+    if (fresh_seq)
+        e.seq = nextSeq_++;
+    refill(pos_[slot], e);
+    return true;
 }
 
 bool

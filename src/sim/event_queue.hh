@@ -19,12 +19,14 @@
  * destroyed at the start of the next popAndRun(), never inside the
  * canceller's frame, and cancel() allocates nothing.
  *
- * Two calls serve timers that stand for a chain of elided events (the
- * CPU model's lone runs, DESIGN.md §15): EventId::retime() moves a
- * pending event to another tick and keeps its seq, so it keeps its
- * place among same-tick events scheduled before and after it, and
- * EventId::scheduledAfterRunning() tells whether the event now running
- * precedes a pending one in the tie order.
+ * EventId::requeue() moves a pending event in place to the key a cancel
+ * plus a fresh schedule would give it (the CPU model's completion
+ * event, DESIGN.md §16). Two calls serve timers that stand for a chain
+ * of elided events (the CPU model's lone runs, DESIGN.md §15):
+ * EventId::retime() moves a pending event to another tick and keeps its
+ * seq, so it keeps its place among same-tick events scheduled before
+ * and after it, and EventId::scheduledAfterRunning() tells whether the
+ * event now running precedes a pending one in the tie order.
  */
 
 #ifndef REQOBS_SIM_EVENT_QUEUE_HH
@@ -118,6 +120,13 @@ class EventId
      * @pre when >= the tick of the last popped event (panics otherwise).
      */
     void retime(Tick when);
+
+    /**
+     * As retime(), but the event takes the next seq: it runs where a
+     * cancel plus a schedule of the same callback would put it.
+     * @return true if the event was pending and moved.
+     */
+    bool requeue(Tick when);
 
     /**
      * True if the event is pending and the callback now running was
@@ -251,9 +260,14 @@ class EventQueue
     /** Fill the hole at index @p i with @p e, moving it up as needed. */
     void siftUp(std::size_t i, HeapEntry e);
 
+    /** Fill the hole at index @p i with @p e, moving it either way. */
+    void refill(std::size_t i, HeapEntry e);
+
     bool slotPending(std::uint32_t slot, std::uint32_t gen) const;
     void cancelSlot(std::uint32_t slot, std::uint32_t gen);
-    void retimeSlot(std::uint32_t slot, std::uint32_t gen, Tick when);
+    /** retime(), or requeue() if @p fresh_seq. */
+    bool rekeySlot(std::uint32_t slot, std::uint32_t gen, Tick when,
+                   bool fresh_seq);
     bool slotAfterRunning(std::uint32_t slot, std::uint32_t gen) const;
 };
 

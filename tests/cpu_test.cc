@@ -235,9 +235,9 @@ TEST(CpuModelTest, SameTickCompletionsFireInSubmissionOrder)
         if (j == 2)
             victim = id;
     }
-    // Job 0 finishing and job 2's cancel each move the newest job into
-    // the freed storage slot, so storage order is no longer submission
-    // order when the other four finish together.
+    // Jobs 1..5 tie on remaining work, and finished jobs leave from the
+    // back of the remaining-work order: newest first, against
+    // submission order, when the four left finish together.
     sim.schedule(200, [&] { cpu.cancel(victim); });
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 5}));
@@ -451,6 +451,66 @@ randomCpuScript(std::uint64_t seed, int max_jobs)
     return ops;
 }
 
+/**
+ * Bursts of 5-12 jobs of one demand on one tick: below overload they
+ * share a remaining value to the bit and finish on one tick.
+ */
+std::vector<CpuOp>
+equalBurstScript(std::uint64_t seed, int bursts)
+{
+    sim::Rng rng(seed);
+    std::vector<CpuOp> ops;
+    sim::Tick t = 0;
+    for (int b = 0; b < bursts; ++b) {
+        t += 1 + static_cast<sim::Tick>(
+                     rng.uniformInt(rng.uniform() < 0.5 ? 40 : 1500));
+        CpuOp op;
+        op.at = t;
+        op.demand = 1 + static_cast<sim::Tick>(rng.uniformInt(800));
+        op.count = 5 + static_cast<int>(rng.uniformInt(8));
+        ops.push_back(op);
+        if (rng.uniform() < 0.3) {
+            t += static_cast<sim::Tick>(rng.uniformInt(20));
+            CpuOp cancel;
+            cancel.at = t;
+            cancel.kind = CpuOp::Kind::Cancel;
+            cancel.target = rng.uniformInt(static_cast<std::uint64_t>(
+                (b + 1) * 5));
+            ops.push_back(cancel);
+        }
+    }
+    return ops;
+}
+
+/**
+ * A crowd of long jobs arriving over a few hundred ticks, so that over
+ * a hundred run at once, with cancels of earlier jobs: mostly from the
+ * middle of the remaining-work order.
+ */
+std::vector<CpuOp>
+crowdScript(std::uint64_t seed, int max_jobs)
+{
+    sim::Rng rng(seed);
+    std::vector<CpuOp> ops;
+    sim::Tick t = 0;
+    int jobs = 0;
+    while (jobs < max_jobs) {
+        t += static_cast<sim::Tick>(rng.uniformInt(4));
+        CpuOp op;
+        op.at = t;
+        if (jobs > 20 && rng.uniform() < 0.15) {
+            op.kind = CpuOp::Kind::Cancel;
+            op.target = rng.uniformInt(static_cast<std::uint64_t>(jobs));
+        } else {
+            op.demand = 2000 + static_cast<sim::Tick>(rng.uniformInt(30000));
+            op.count = 1 + static_cast<int>(rng.uniformInt(3));
+            jobs += op.count;
+        }
+        ops.push_back(op);
+    }
+    return ops;
+}
+
 /** Everything the two engines must agree on. */
 struct CpuRun
 {
@@ -515,6 +575,8 @@ runCpuScript(const std::vector<CpuOp> &ops, const CpuConfig &cfg)
 TEST(CpuModelTest, GpsMatchesTheReferenceEngineBitForBit)
 {
     std::size_t multi_completion_ticks = 0;
+    std::size_t largest_batch = 0;
+    std::size_t most_active = 0;
     for (unsigned cores : {1u, 4u, 41u}) {
         for (bool jitter : {false, true}) {
             CpuConfig cfg = quietCpu(cores);
@@ -522,27 +584,41 @@ TEST(CpuModelTest, GpsMatchesTheReferenceEngineBitForBit)
             if (jitter)
                 cfg.jitterSigma = 0.35;
             for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-                const auto ops = randomCpuScript(
-                    seed * 1000 + cores, 1 + static_cast<int>(seed * 8));
-                const CpuRun ref = runCpuScript<ReferenceGps>(ops, cfg);
-                const CpuRun got = runCpuScript<CpuModel>(ops, cfg);
-                SCOPED_TRACE(testing::Message()
-                             << "cores=" << cores << " jitter=" << jitter
-                             << " seed=" << seed);
-                ASSERT_FALSE(ref.completions.empty());
-                EXPECT_EQ(got.completions, ref.completions);
-                EXPECT_EQ(got.active, ref.active);
-                EXPECT_EQ(got.servedBits, ref.servedBits);
-                EXPECT_EQ(got.events, ref.events);
-                for (std::size_t i = 1; i < ref.completions.size(); ++i)
-                    multi_completion_ticks +=
-                        ref.completions[i].first ==
-                        ref.completions[i - 1].first;
+                const std::uint64_t s = seed * 1000 + cores;
+                const int n = static_cast<int>(seed);
+                for (const auto &ops :
+                     {randomCpuScript(s, 1 + n * 8),
+                      equalBurstScript(s, 2 + n), crowdScript(s, 120 + n)}) {
+                    const CpuRun ref = runCpuScript<ReferenceGps>(ops, cfg);
+                    const CpuRun got = runCpuScript<CpuModel>(ops, cfg);
+                    SCOPED_TRACE(testing::Message()
+                                 << "cores=" << cores << " jitter=" << jitter
+                                 << " seed=" << seed
+                                 << " script of " << ops.size() << " ops");
+                    ASSERT_FALSE(ref.completions.empty());
+                    EXPECT_EQ(got.completions, ref.completions);
+                    EXPECT_EQ(got.active, ref.active);
+                    EXPECT_EQ(got.servedBits, ref.servedBits);
+                    EXPECT_EQ(got.events, ref.events);
+                    std::size_t batch = 1;
+                    for (std::size_t i = 1; i < ref.completions.size(); ++i) {
+                        const bool tie = ref.completions[i].first ==
+                                         ref.completions[i - 1].first;
+                        multi_completion_ticks += tie;
+                        batch = tie ? batch + 1 : 1;
+                        largest_batch = std::max(largest_batch, batch);
+                    }
+                    for (std::size_t a : ref.active)
+                        most_active = std::max(most_active, a);
+                }
             }
         }
     }
-    // The scripts must actually exercise same-tick completion batches.
+    // The scripts must actually exercise same-tick completion batches,
+    // large ones, and a crowd of jobs.
     EXPECT_GT(multi_completion_ticks, 20u);
+    EXPECT_GE(largest_batch, 5u);
+    EXPECT_GE(most_active, 100u);
 }
 
 TEST(CpuModelDeathTest, InvalidConfigIsFatal)

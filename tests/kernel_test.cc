@@ -891,6 +891,59 @@ TEST(KernelTest, PerTgidSyscallCountsMatchSysEnterEvents)
     EXPECT_EQ(kernel.syscallCountFor(Pid{4242}), 0u); // unknown pid
 }
 
+TEST(KernelTest, TwoKernelsOnOneSimulationKeepTheirOwnIdsAndCounts)
+{
+    sim::Simulation sim(1);
+    Kernel first(sim);
+    Kernel second(sim);
+    auto sleeper = [](int n) {
+        return [n](Kernel &k, Tid tid) -> Task {
+            for (int i = 0; i < n; ++i)
+                co_await k.sleepFor(tid, sim::microseconds(5));
+        };
+    };
+    const Pid a = first.createProcess("a");
+    first.createProcess("a2");
+    const Pid b = second.createProcess("b");
+    EXPECT_EQ(a, b); // both number from the same first pid
+    const Tid ta = first.spawnThread(a, sleeper(3));
+    const Tid tb = second.spawnThread(b, sleeper(5));
+    EXPECT_EQ(ta, tb);
+    EXPECT_EQ(first.processName(a), "a");
+    EXPECT_EQ(second.processName(b), "b");
+    sim.runFor(sim::milliseconds(1));
+    EXPECT_EQ(first.syscallCountFor(a), 3u);
+    EXPECT_EQ(second.syscallCountFor(b), 5u);
+    EXPECT_EQ(first.syscallCount(), 3u);
+    EXPECT_EQ(second.syscallCount(), 5u);
+    EXPECT_EQ(second.syscallCountFor(a + 1), 0u); // only first has it
+}
+
+TEST(KernelDeathTest, IdsOutsideTheTablesPanic)
+{
+    sim::Simulation sim(1);
+    Kernel kernel(sim);
+    const Pid pid = kernel.createProcess("p");
+    const Tid tid = kernel.spawnThread(
+        pid, [](Kernel &, Tid) -> Task { co_return; });
+    // Unsigned index arithmetic must not wrap an id below the first
+    // into a neighbouring entry, nor read past the last one created.
+    auto body = [](Kernel &, Tid) -> Task { co_return; };
+    for (const Pid bad : {Pid{999}, Pid{0}, Pid{pid + 1}}) {
+        SCOPED_TRACE(bad);
+        EXPECT_DEATH(kernel.processName(bad), "unknown pid");
+        EXPECT_DEATH(kernel.spawnThread(bad, body), "unknown pid");
+        EXPECT_EQ(kernel.syscallCountFor(bad), 0u);
+    }
+    for (const Tid bad : {Tid{4999}, Tid{0}, Tid{tid + 1}}) {
+        SCOPED_TRACE(bad);
+        EXPECT_DEATH(kernel.pidTgidOf(bad), "unknown tid");
+        EXPECT_FALSE(kernel.threadFinished(bad));
+    }
+    EXPECT_EQ(kernel.pidTgidOf(tid), makePidTgid(pid, tid));
+    EXPECT_EQ(kernel.processName(pid), "p");
+}
+
 // --------------------------------------------------------------- notifier
 
 TEST(NotifierTest, WaitersWakeFifoAndFireFutex)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the discrete-event simulation core: event queue
- * ordering, cancellation and retiming, virtual clock semantics,
+ * ordering, cancellation, retiming and requeueing, virtual clock semantics,
  * deterministic RNG, and the sampling distributions.
  */
 
@@ -199,12 +199,32 @@ TEST(EventQueueTest, RetimedEventKeepsItsPlaceAmongSameTickEvents)
     EXPECT_EQ(now, 60);
 }
 
+TEST(EventQueueTest, RequeuedEventTakesTheNextSeq)
+{
+    EventQueue q;
+    std::vector<int> order;
+    EventId first = q.schedule(10, [&] { order.push_back(0); });
+    q.schedule(10, [&] { order.push_back(1); });
+    EXPECT_TRUE(first.requeue(10)); // same tick, but now after 1
+    q.schedule(10, [&] { order.push_back(2); });
+    EventId late = q.schedule(30, [&] { order.push_back(3); });
+    q.schedule(20, [&] { order.push_back(4); });
+    EXPECT_TRUE(late.requeue(20)); // earlier tick, newest seq there
+    EXPECT_EQ(q.size(), 5u);
+    Tick now = 0;
+    while (q.popAndRun(now)) {
+    }
+    EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 4, 3}));
+    EXPECT_EQ(now, 20);
+}
+
 TEST(EventQueueTest, RetimeIsInertOnFiredCancelledDefaultAndRunningHandles)
 {
     EventQueue q;
     Tick now = 0;
     EventId none;
     none.retime(5);
+    EXPECT_FALSE(none.requeue(5));
     EXPECT_FALSE(none.pending());
     int runs = 0;
     EventId fired = q.schedule(1, [&] { ++runs; });
@@ -213,6 +233,8 @@ TEST(EventQueueTest, RetimeIsInertOnFiredCancelledDefaultAndRunningHandles)
     ASSERT_TRUE(q.popAndRun(now));
     fired.retime(10);
     cancelled.retime(10);
+    EXPECT_FALSE(fired.requeue(10));
+    EXPECT_FALSE(cancelled.requeue(10));
     EXPECT_TRUE(q.empty());
     // Both slots are recycled; the stale handles must not move the
     // events that now occupy them.
@@ -220,11 +242,15 @@ TEST(EventQueueTest, RetimeIsInertOnFiredCancelledDefaultAndRunningHandles)
     EventId self;
     self = q.schedule(8, [&] {
         self.retime(20); // not pending inside its own callback
+        EXPECT_FALSE(self.requeue(20));
         EXPECT_FALSE(self.pending());
         ++runs;
     });
     fired.retime(30);
     cancelled.retime(30);
+    EXPECT_FALSE(fired.requeue(30));
+    EXPECT_FALSE(cancelled.requeue(30));
+    EXPECT_EQ(q.size(), 2u);
     EXPECT_EQ(q.nextTick(), 7);
     while (q.popAndRun(now)) {
     }
@@ -262,17 +288,26 @@ TEST(EventQueueTest, ScheduledAfterRunningFollowsSchedulingOrder)
               (std::vector<bool>{false, true, true, false, false, false}));
 }
 
+/** What QueueDiff does to pending events besides cancelling them. */
+enum class Moves
+{
+    None,
+    Retimes,  ///< retime(): a new tick, the same seq
+    Requeues, ///< requeue(): a new tick and the next seq, mixed with retimes
+};
+
 /**
  * Drives an EventQueue and a std::set of pending (tick, seq) keys
  * through the same random schedule/cancel script, optionally with
- * retimes; the queue must pop exactly the set's minimum every time,
- * and the running-order query must agree with the set's keys.
+ * retimes and requeues; the queue must pop exactly the set's minimum
+ * every time, and the running-order query must agree with the set's
+ * keys. The reference numbers seqs itself: a schedule or a requeue
+ * takes the next one.
  */
 class QueueDiff
 {
   public:
-    QueueDiff(std::uint64_t seed, bool retimes)
-        : rng_(seed), retimes_(retimes)
+    QueueDiff(std::uint64_t seed, Moves moves) : rng_(seed), moves_(moves)
     {}
 
     void
@@ -286,7 +321,7 @@ class QueueDiff
             expected_ = *ref_.begin();
             ref_.erase(ref_.begin());
             ASSERT_TRUE(q_.popAndRun(now));
-            ASSERT_EQ(fired_, expected_.second);
+            ASSERT_EQ(fired_, handleOf_[expected_.second]);
             EXPECT_EQ(now, expected_.first);
             mutate(/*in_callback=*/false);
         }
@@ -294,70 +329,100 @@ class QueueDiff
         EXPECT_FALSE(q_.popAndRun(now));
         EXPECT_GT(pops_, 1000u);
         EXPECT_GT(cancels_, 200u);
-        if (retimes_) {
-            EXPECT_GT(retimed_, 200u);
+        if (moves_ != Moves::None) {
+            EXPECT_GT(retimed_, moves_ == Moves::Retimes ? 200u : 100u);
+        }
+        if (moves_ == Moves::Requeues) {
+            EXPECT_GT(requeued_, 100u);
         }
     }
 
   private:
     EventQueue q_;
     Rng rng_;
-    bool retimes_;
+    Moves moves_;
     std::set<std::pair<Tick, std::uint64_t>> ref_;
-    std::vector<EventId> handles_; ///< by seq
-    std::vector<Tick> when_;       ///< by seq
+    std::vector<EventId> handles_;        ///< by handle number
+    std::vector<Tick> when_;              ///< by handle number
+    std::vector<std::uint64_t> seq_;      ///< by handle number
+    std::vector<std::uint64_t> handleOf_; ///< by seq
     std::pair<Tick, std::uint64_t> expected_{0, 0};
     std::uint64_t fired_ = 0;
     Tick now_ = 0;
     std::uint64_t pops_ = 0;
     std::uint64_t cancels_ = 0;
     std::uint64_t retimed_ = 0;
+    std::uint64_t requeued_ = 0;
+
+    bool
+    pendingRef(std::uint64_t h) const
+    {
+        return ref_.count({when_[h], seq_[h]}) == 1;
+    }
 
     void
     schedule(Tick when)
     {
-        const std::uint64_t seq = handles_.size();
-        handles_.push_back(q_.schedule(when, [this, seq] { fire(seq); }));
+        const std::uint64_t h = handles_.size();
+        handles_.push_back(q_.schedule(when, [this, h] { fire(h); }));
         when_.push_back(when);
-        ref_.emplace(when, seq);
+        seq_.push_back(handleOf_.size());
+        handleOf_.push_back(h);
+        ref_.emplace(when, seq_[h]);
     }
 
-    /** Cancel by seq: pending, already fired or already cancelled. */
+    /** Cancel a handle: pending, already fired or already cancelled. */
     void
-    cancel(std::uint64_t seq)
+    cancel(std::uint64_t h)
     {
-        cancels_ += ref_.erase({when_[seq], seq});
-        handles_[seq].cancel();
+        cancels_ += ref_.erase({when_[h], seq_[h]});
+        handles_[h].cancel();
     }
 
-    /** Retime by seq; only a pending event moves. */
+    /** Retime a handle; only a pending event moves. */
     void
-    retime(std::uint64_t seq, Tick when)
+    retime(std::uint64_t h, Tick when)
     {
-        if (ref_.erase({when_[seq], seq}) == 1) {
-            ref_.emplace(when, seq);
-            when_[seq] = when;
+        if (ref_.erase({when_[h], seq_[h]}) == 1) {
+            ref_.emplace(when, seq_[h]);
+            when_[h] = when;
             ++retimed_;
         }
-        handles_[seq].retime(when);
+        handles_[h].retime(when);
+    }
+
+    /** Requeue a handle; a pending event moves and takes the next seq. */
+    void
+    requeue(std::uint64_t h, Tick when)
+    {
+        const bool pending = ref_.erase({when_[h], seq_[h]}) == 1;
+        if (pending) {
+            seq_[h] = handleOf_.size();
+            handleOf_.push_back(h);
+            when_[h] = when;
+            ref_.emplace(when, seq_[h]);
+            ++requeued_;
+        }
+        EXPECT_EQ(handles_[h].requeue(when), pending);
     }
 
     void
-    fire(std::uint64_t seq)
+    fire(std::uint64_t h)
     {
-        fired_ = seq;
+        fired_ = h;
         now_ = expected_.first;
         ++pops_;
-        EXPECT_FALSE(handles_[seq].pending());
-        handles_[seq].cancel(); // self-cancel is a no-op
-        handles_[seq].retime(now_ + 1); // and so is a self-retime
+        EXPECT_FALSE(handles_[h].pending());
+        handles_[h].cancel(); // self-cancel is a no-op
+        handles_[h].retime(now_ + 1); // and so is a self-retime
+        EXPECT_FALSE(handles_[h].requeue(now_ + 1)); // and a self-requeue
         const std::uint64_t k = rng_.uniformInt(handles_.size());
         EXPECT_EQ(handles_[k].scheduledAfterRunning(),
-                  k > seq && ref_.count({when_[k], k}) == 1);
+                  seq_[k] > expected_.second && pendingRef(k));
         mutate(/*in_callback=*/true);
     }
 
-    /** Random schedules (ties galore) and cancels. */
+    /** Random schedules (ties galore), cancels and moves. */
     void
     mutate(bool in_callback)
     {
@@ -368,10 +433,16 @@ class QueueDiff
         const std::uint64_t n_cancel = rng_.uniformInt(in_callback ? 2 : 3);
         for (std::uint64_t i = 0; i < n_cancel; ++i)
             cancel(rng_.uniformInt(handles_.size()));
-        const std::uint64_t n_retime = retimes_ ? rng_.uniformInt(3) : 0;
-        for (std::uint64_t i = 0; i < n_retime; ++i)
-            retime(rng_.uniformInt(handles_.size()),
-                   now_ + static_cast<Tick>(rng_.uniformInt(4)));
+        const std::uint64_t n_move =
+            moves_ != Moves::None ? rng_.uniformInt(3) : 0;
+        for (std::uint64_t i = 0; i < n_move; ++i) {
+            const std::uint64_t h = rng_.uniformInt(handles_.size());
+            const Tick when = now_ + static_cast<Tick>(rng_.uniformInt(4));
+            if (moves_ == Moves::Requeues && rng_.uniform() < 0.5)
+                requeue(h, when);
+            else
+                retime(h, when);
+        }
     }
 
     void
@@ -382,7 +453,7 @@ class QueueDiff
         EXPECT_EQ(q_.nextTick(),
                   ref_.empty() ? kTickMax : ref_.begin()->first);
         const std::uint64_t k = rng_.uniformInt(handles_.size());
-        EXPECT_EQ(handles_[k].pending(), ref_.count({when_[k], k}) == 1);
+        EXPECT_EQ(handles_[k].pending(), pendingRef(k));
         EXPECT_FALSE(handles_[k].scheduledAfterRunning());
     }
 };
@@ -391,7 +462,7 @@ TEST(EventQueueTest, MatchesASetReferenceUnderRandomCancels)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         SCOPED_TRACE(seed);
-        QueueDiff(seed, /*retimes=*/false).run();
+        QueueDiff(seed, Moves::None).run();
     }
 }
 
@@ -399,7 +470,15 @@ TEST(EventQueueTest, MatchesASetReferenceUnderRandomRetimes)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         SCOPED_TRACE(seed);
-        QueueDiff(seed, /*retimes=*/true).run();
+        QueueDiff(seed, Moves::Retimes).run();
+    }
+}
+
+TEST(EventQueueTest, MatchesASetReferenceUnderRandomRequeues)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE(seed);
+        QueueDiff(seed, Moves::Requeues).run();
     }
 }
 
@@ -420,6 +499,16 @@ TEST(EventQueueDeathTest, RetimingIntoThePastPanics)
     Tick now = 0;
     q.popAndRun(now);
     EXPECT_DEATH(later.retime(50), "past");
+}
+
+TEST(EventQueueDeathTest, RequeueingIntoThePastPanics)
+{
+    EventQueue q;
+    q.schedule(100, [] {});
+    EventId later = q.schedule(200, [] {});
+    Tick now = 0;
+    q.popAndRun(now);
+    EXPECT_DEATH(later.requeue(50), "past");
 }
 
 // ------------------------------------------------------------ Simulation
