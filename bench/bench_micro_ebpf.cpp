@@ -2,9 +2,10 @@
  * @file
  * google-benchmark micro-benchmarks for the eBPF substrate itself:
  * interpreter dispatch, map operations from bytecode, full probe
- * executions on tracepoint events, and verifier load time. These bound
- * the host-side cost of the simulation (the *simulated* probe cost is
- * modelled separately by RuntimeConfig).
+ * executions on tracepoint events, and verifier load time and map
+ * creation (what an agent's start pays). These bound the host-side
+ * cost of the simulation (the *simulated* probe cost is modelled
+ * separately by RuntimeConfig).
  */
 
 #include <benchmark/benchmark.h>
@@ -249,6 +250,35 @@ BM_VerifyDurationExitProbe(benchmark::State &state)
     }
 }
 BENCHMARK(BM_VerifyDurationExitProbe);
+
+void
+BM_VerifyRunqlatSwitch(benchmark::State &state)
+{
+    // The costliest probe the agents load: two tenants, 812 states.
+    sim::Simulation sim(1);
+    kernel::Kernel kernel(sim);
+    EbpfRuntime rt(kernel);
+    const auto maps = probes::createRunqlatMaps(rt, 2, "bench");
+    const ProgramSpec spec =
+        probes::buildRunqlatSwitch(rt, {{1000, 1001}, {232, 232}}, maps);
+    for (auto _ : state) {
+        auto r = verify(spec);
+        benchmark::DoNotOptimize(r.statesExplored);
+    }
+}
+BENCHMARK(BM_VerifyRunqlatSwitch);
+
+void
+BM_CreateHashMap16k(benchmark::State &state)
+{
+    // The start-timestamp map every agent creates (poll.start).
+    const auto entries = static_cast<std::uint32_t>(state.range(0));
+    for (auto _ : state) {
+        auto map = std::make_unique<HashMap>(8, 8, entries, "bench");
+        benchmark::DoNotOptimize(map.get());
+    }
+}
+BENCHMARK(BM_CreateHashMap16k)->Arg(16384);
 
 void
 BM_SimulatedSyscallRoundTrip(benchmark::State &state)

@@ -32,12 +32,20 @@ Map::checkSizes(std::size_t key, std::size_t value) const
 
 namespace {
 
-/** Smallest power of two ≥ @p n. */
+/**
+ * Probe-table slots for @p max_entries live entries: the smallest power
+ * of two ≥ twice that, so live entries fill at most half the table,
+ * scans stay short and an empty slot always terminates them. Twice
+ * max_entries must fit in 32 bits.
+ */
 std::uint32_t
-pow2AtLeast(std::uint32_t n)
+tableCapacity(std::uint32_t max_entries, const std::string &name)
 {
+    if (max_entries > (1u << 30))
+        sim::fatal("HashMap '%s': max_entries %u > 2^30", name.c_str(),
+                   max_entries);
     std::uint32_t p = 8;
-    while (p < n)
+    while (p < max_entries * 2)
         p <<= 1;
     return p;
 }
@@ -47,30 +55,25 @@ pow2AtLeast(std::uint32_t n)
 HashMap::HashMap(std::uint32_t key_size, std::uint32_t value_size,
                  std::uint32_t max_entries, std::string name)
     : Map(MapType::Hash, key_size, value_size, max_entries, std::move(name)),
-      // Live entries fill at most half the probe table, so scans stay
-      // short and an empty slot always terminates them.
-      capacity_(pow2AtLeast(max_entries * 2)), mask_(capacity_ - 1),
+      capacity_(tableCapacity(max_entries, name_)), mask_(capacity_ - 1),
       states_(capacity_, kEmpty),
       keys_(static_cast<std::size_t>(capacity_) * key_size),
-      vidx_(capacity_, kNoSlot),
+      vidx_(capacity_),
       slab_(static_cast<std::size_t>(max_entries) * value_size)
-{
-    freeVals_.reserve(max_entries);
-    for (std::uint32_t i = max_entries; i > 0; --i)
-        freeVals_.push_back(i - 1);
-}
+{}
+
 void
 HashMap::compact()
 {
     // Rebuild the probe table only: key bytes and value indices move to
     // new slots, the value slab (and every pointer into it) stays put.
     std::vector<std::uint8_t> oldStates(std::move(states_));
-    std::vector<std::uint8_t> oldKeys(std::move(keys_));
-    std::vector<std::uint32_t> oldVidx(std::move(vidx_));
+    detail::UninitVector<std::uint8_t> oldKeys(std::move(keys_));
+    detail::UninitVector<std::uint32_t> oldVidx(std::move(vidx_));
 
     states_.assign(capacity_, kEmpty);
     keys_.resize(static_cast<std::size_t>(capacity_) * keySize_);
-    vidx_.assign(capacity_, kNoSlot);
+    vidx_.resize(capacity_);
     tombstones_ = 0;
 
     for (std::uint32_t s = 0; s < capacity_; ++s) {

@@ -17,6 +17,8 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -137,6 +139,34 @@ mix64(std::uint64_t x)
     return x ^ (x >> 32);
 }
 
+/**
+ * Allocator whose value-less construct() default-initialises, so a
+ * vector of trivial elements sized at creation is not zero-filled and
+ * its untouched pages are never written. Construction from a value
+ * falls back to std::allocator's, and element access stays the
+ * vector's, bounds-checked under _GLIBCXX_ASSERTIONS.
+ */
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    DefaultInitAllocator() = default;
+    template <typename U>
+    DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+    {}
+
+    template <typename U>
+    void
+    construct(U *p) noexcept
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+};
+
+/** A vector whose sized constructor and resize() leave elements
+ *  uninitialised. */
+template <typename T>
+using UninitVector = std::vector<T, DefaultInitAllocator<T>>;
+
 } // namespace detail
 
 /**
@@ -150,11 +180,17 @@ mix64(std::uint64_t x)
  * forward to them. Layout:
  *  - a power-of-two probe table of {state, key bytes, value index}
  *    kept at most half full of live entries, scanned linearly;
- *  - value bytes in a fixed slab indexed through a free list. Slab
- *    slots never move, so value pointers handed to running programs
- *    stay stable for the entry's lifetime — including across the
- *    tombstone compaction rebuild, which rearranges only the probe
+ *  - value bytes in a fixed slab: a released slab index is reused
+ *    first (last released, first reused), else the next never-used
+ *    one. Slab slots never move, so value pointers handed to running
+ *    programs stay stable for the entry's lifetime — including across
+ *    the tombstone compaction rebuild, which rearranges only the probe
  *    table.
+ *
+ * Only the slot states are zero-filled at creation. Key bytes, value
+ * indices and the slab are read only behind a kFull state, and every
+ * insert writes its whole key and value, so they start uninitialised
+ * and a map's untouched pages never become resident.
  */
 class HashMap : public Map
 {
@@ -212,11 +248,13 @@ class HashMap : public Map
     std::uint32_t mask_;     ///< capacity_ - 1
     std::size_t size_ = 0;   ///< live entries
     std::size_t tombstones_ = 0;
-    std::vector<std::uint8_t> states_; ///< kEmpty / kFull / kTombstone
-    std::vector<std::uint8_t> keys_;   ///< capacity_ × keySize_
-    std::vector<std::uint32_t> vidx_;  ///< slot → value slab index
-    std::vector<std::uint8_t> slab_;   ///< maxEntries_ × valueSize_, pinned
-    std::vector<std::uint32_t> freeVals_; ///< unused slab indices
+    std::vector<std::uint8_t> states_;       ///< kEmpty / kFull / kTombstone
+    detail::UninitVector<std::uint8_t> keys_; ///< capacity_ × keySize_
+    detail::UninitVector<std::uint32_t> vidx_; ///< slot → value slab index
+    /** maxEntries_ × valueSize_, pinned. */
+    detail::UninitVector<std::uint8_t> slab_;
+    std::vector<std::uint32_t> freeVals_; ///< released slab indices
+    std::uint32_t nextVal_ = 0;           ///< first never-used slab index
 };
 
 // GCC flags the 8-byte memcpy fast paths below when a typed caller
@@ -324,8 +362,13 @@ HashMap::updateHot(const std::uint8_t *key, const std::uint8_t *value,
     states_[insert] = kFull;
     std::memcpy(keys_.data() + static_cast<std::size_t>(insert) * keySize_,
                 key, keySize_);
-    const std::uint32_t v = freeVals_.back();
-    freeVals_.pop_back();
+    std::uint32_t v = nextVal_;
+    if (freeVals_.empty()) {
+        ++nextVal_;
+    } else {
+        v = freeVals_.back();
+        freeVals_.pop_back();
+    }
     vidx_[insert] = v;
     std::memcpy(valueAt(v), value, valueSize_);
     ++size_;
@@ -345,7 +388,6 @@ HashMap::eraseHot(const std::uint8_t *key)
         return -2; // -ENOENT
     states_[slot] = kTombstone;
     freeVals_.push_back(vidx_[slot]);
-    vidx_[slot] = kNoSlot;
     --size_;
     ++tombstones_;
     return 0;

@@ -1,10 +1,9 @@
 #include "ebpf/verifier.hh"
 
 #include <array>
+#include <bit>
 #include <bitset>
 #include <cstdio>
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "ebpf/helpers.hh"
@@ -53,14 +52,56 @@ struct VState
     {
         return regs == o.regs && stackInit == o.stackInit;
     }
+
+    /** Agrees with operator==: a value counts only when known. */
+    std::uint64_t
+    hash() const
+    {
+        std::uint64_t h = stackInit.to_ullong();
+        for (const RegState &r : regs) {
+            const std::uint64_t w =
+                (static_cast<std::uint64_t>(r.type) |
+                 static_cast<std::uint64_t>(r.known) << 8 |
+                 static_cast<std::uint64_t>(static_cast<std::uint32_t>(r.off))
+                     << 32) +
+                reinterpret_cast<std::uintptr_t>(r.map) +
+                (r.known ? r.value * 0x9E3779B97F4A7C15ULL : 0);
+            h = std::rotl(h, 7) ^ w;
+        }
+        return h;
+    }
+};
+
+/**
+ * Every distinct state one verification enqueued, indexed by enqueue
+ * order. The states enqueued at one pc form a chain from head[pc]
+ * through their links; a link carries its state's pc and hash, and the
+ * hash is compared before operator==.
+ */
+struct Arena
+{
+    static constexpr std::uint32_t kNone = ~0u;
+
+    struct Link
+    {
+        std::uint64_t hash;
+        std::uint32_t next; ///< state enqueued before it at its pc
+        std::uint32_t pc;
+    };
+
+    std::vector<VState> states;
+    std::vector<Link> links;
+    std::vector<std::uint32_t> head; ///< per pc: last state enqueued
+    std::vector<std::uint32_t> work; ///< LIFO stack of arena indices
 };
 
 /** Verification engine: one pass over all reachable paths. */
 class Engine
 {
   public:
-    Engine(const ProgramSpec &prog, const VerifierLimits &limits)
-        : prog_(prog), limits_(limits)
+    Engine(const ProgramSpec &prog, const VerifierLimits &limits,
+           Arena &arena)
+        : prog_(prog), limits_(limits), arena_(arena)
     {}
 
     VerifyResult
@@ -73,18 +114,23 @@ class Engine
             return fail(0, "program too large (%zu > %zu insns)",
                         prog_.insns.size(), limits_.maxInsns);
 
+        arena_.states.clear();
+        arena_.links.clear();
+        arena_.work.clear();
+        arena_.head.assign(prog_.insns.size(), Arena::kNone);
         VState init;
         init.regs[R1].type = RegType::PtrCtx;
         init.regs[R10].type = RegType::PtrStack;
         // r10 points at the top of the (empty) frame; offsets are negative.
-        work_.push_back({0, init});
+        enqueue(0, init);
 
-        while (!work_.empty()) {
-            auto [pc, state] = std::move(work_.back());
-            work_.pop_back();
+        while (!arena_.work.empty()) {
+            const std::uint32_t i = arena_.work.back();
+            arena_.work.pop_back();
+            const std::size_t pc = arena_.links[i].pc;
             if (++res.statesExplored > limits_.maxStates)
                 return fail(pc, "program too complex (state cap reached)");
-            if (!step(pc, std::move(state))) {
+            if (!step(pc, arena_.states[i])) {
                 res.error = error_;
                 return res;
             }
@@ -96,8 +142,7 @@ class Engine
   private:
     const ProgramSpec &prog_;
     const VerifierLimits &limits_;
-    std::deque<std::pair<std::size_t, VState>> work_;
-    std::map<std::size_t, std::vector<VState>> seen_;
+    Arena &arena_;
     std::string error_;
 
     template <typename... Args>
@@ -123,17 +168,22 @@ class Engine
     }
 
     bool
-    enqueue(std::size_t pc, VState state)
+    enqueue(std::size_t pc, const VState &state)
     {
         if (pc >= prog_.insns.size())
             return setError(pc, "control flow falls off the program");
-        auto &states = seen_[pc];
-        for (const VState &s : states) {
-            if (s == state)
+        const std::uint64_t h = state.hash();
+        std::uint32_t &head = arena_.head[pc];
+        for (std::uint32_t i = head; i != Arena::kNone;
+             i = arena_.links[i].next) {
+            if (arena_.links[i].hash == h && arena_.states[i] == state)
                 return true; // already explored from an equal state
         }
-        states.push_back(state);
-        work_.push_back({pc, std::move(state)});
+        const auto i = static_cast<std::uint32_t>(arena_.states.size());
+        arena_.states.push_back(state);
+        arena_.links.push_back({h, head, static_cast<std::uint32_t>(pc)});
+        head = i;
+        arena_.work.push_back(i);
         return true;
     }
 
@@ -361,14 +411,14 @@ class Engine
                     dst.value &= 0xffffffffu;
                 if (cls == BPF_ALU && isPointer(src))
                     return setError(pc, "32-bit mov of a pointer");
-                return enqueue(pc + 1, std::move(st));
+                return enqueue(pc + 1, st);
             }
             if (op == BPF_NEG) {
                 if (dst.type != RegType::Scalar)
                     return setError(pc, "neg on non-scalar");
                 if (dst.known)
                     dst.value = ~dst.value + 1;
-                return enqueue(pc + 1, std::move(st));
+                return enqueue(pc + 1, st);
             }
             if (dst.type == RegType::Uninit)
                 return setError(pc, "read of uninitialised r%d", insn.dst);
@@ -391,7 +441,7 @@ class Engine
                     static_cast<std::int64_t>(src.value);
                 dst.off += static_cast<std::int32_t>(
                     op == BPF_ADD ? delta : -delta);
-                return enqueue(pc + 1, std::move(st));
+                return enqueue(pc + 1, st);
             }
             if (isPointer(src))
                 return setError(pc, "scalar op with pointer operand");
@@ -430,7 +480,7 @@ class Engine
             dst.type = RegType::Scalar;
             dst.map = nullptr;
             dst.off = 0;
-            return enqueue(pc + 1, std::move(st));
+            return enqueue(pc + 1, st);
         }
 
         // ------------------------------------------------------ LD_IMM64
@@ -459,7 +509,7 @@ class Engine
                          static_cast<std::uint32_t>(prog_.insns[pc + 1].imm))
                      << 32);
             }
-            return enqueue(pc + 2, std::move(st));
+            return enqueue(pc + 2, st);
         }
 
         // ----------------------------------------------------- LDX / STX
@@ -476,7 +526,7 @@ class Engine
             RegState &dst = st.regs[insn.dst];
             dst = RegState{};
             dst.type = RegType::Scalar;
-            return enqueue(pc + 1, std::move(st));
+            return enqueue(pc + 1, st);
         }
         if (cls == BPF_STX || cls == BPF_ST) {
             const int len = accessSize(insn.memSize());
@@ -497,7 +547,7 @@ class Engine
                 return false;
             if (base.type == RegType::PtrStack)
                 markStack(st, base.off + insn.off, len);
-            return enqueue(pc + 1, std::move(st));
+            return enqueue(pc + 1, st);
         }
 
         // ----------------------------------------------------------- JMP
@@ -511,13 +561,13 @@ class Engine
             if (op == BPF_CALL) {
                 if (!checkCall(pc, st, insn.imm))
                     return false;
-                return enqueue(pc + 1, std::move(st));
+                return enqueue(pc + 1, st);
             }
             if (insn.off < 0)
                 return setError(pc, "back edge (loops are not allowed)");
             const std::size_t target = pc + 1 + insn.off;
             if (op == BPF_JA)
-                return enqueue(target, std::move(st));
+                return enqueue(target, st);
 
             const RegState &dst = st.regs[insn.dst];
             if (dst.type == RegType::Uninit)
@@ -543,9 +593,8 @@ class Engine
                                         "non-null-check comparison");
                 }
                 VState taken = st;
-                VState fall = std::move(st);
                 RegState &t = taken.regs[insn.dst];
-                RegState &f = fall.regs[insn.dst];
+                RegState &f = st.regs[insn.dst];
                 if (op == BPF_JEQ) {
                     // taken: ptr == NULL; fallthrough: non-null.
                     t.type = RegType::Scalar;
@@ -558,13 +607,12 @@ class Engine
                     f.known = true;
                     f.value = 0;
                 }
-                return enqueue(target, std::move(taken)) &&
-                       enqueue(pc + 1, std::move(fall));
+                return enqueue(target, taken) && enqueue(pc + 1, st);
             }
             if (isPointer(dst) || isPointer(src))
                 return setError(pc, "comparison involving a pointer");
 
-            return enqueue(target, st) && enqueue(pc + 1, std::move(st));
+            return enqueue(target, st) && enqueue(pc + 1, st);
         }
 
         return setError(pc, "unsupported instruction class 0x%x", cls);
@@ -576,8 +624,16 @@ class Engine
 VerifyResult
 verify(const ProgramSpec &prog, const VerifierLimits &limits)
 {
-    Engine engine(prog, limits);
-    return engine.run();
+    // One arena per thread, emptied and reused by each verification on
+    // it, so a load after the first allocates nothing. One that grew
+    // past a few thousand states (a two-tenant runq.switch takes 812)
+    // is released instead of kept.
+    constexpr std::size_t kKeptStates = 2048;
+    thread_local Arena arena;
+    VerifyResult res = Engine(prog, limits, arena).run();
+    if (arena.states.capacity() > kKeptStates)
+        arena = Arena{};
+    return res;
 }
 
 } // namespace reqobs::ebpf

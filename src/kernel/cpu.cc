@@ -70,15 +70,8 @@ CpuModel::emitSched(const SchedEvent &ev)
 std::size_t
 CpuModel::activeJobs() const
 {
-    if (config_.sched == SchedModel::Gps)
-        return remaining_.size();
-    std::size_t n = 0;
-    for (const Core &core : cores_) {
-        n += core.queue.size();
-        if (core.busy && !core.dispatching)
-            ++n;
-    }
-    return n;
+    return config_.sched == SchedModel::Gps ? remaining_.size()
+                                            : discreteJobs_;
 }
 
 CpuModel::JobId
@@ -122,12 +115,14 @@ CpuModel::cancel(JobId id)
             const std::uint32_t prev = core.run.tid;
             core.busy = false;
             core.run.onDone = nullptr;
+            --discreteJobs_;
             dispatch(c, prev, /*prev_runnable=*/false);
             return;
         }
         for (auto it = core.queue.begin(); it != core.queue.end(); ++it) {
             if (it->id == id) {
                 core.queue.erase(it);
+                --discreteJobs_;
                 return;
             }
         }
@@ -307,6 +302,7 @@ CpuModel::submitDiscrete(sim::Tick demand, const TaskRef &task,
     nextCore_ = (nextCore_ + 1) % static_cast<unsigned>(cores_.size());
     Core &core = cores_[c];
     core.queue.push_back(std::move(t));
+    ++discreteJobs_;
     if (!core.busy) {
         dispatch(c, /*prev_tid=*/0, /*prev_runnable=*/false);
     } else if (core.loneSlices > 1) {
@@ -516,6 +512,7 @@ CpuModel::onSlice(unsigned c)
         auto cb = std::move(core.run.onDone);
         const std::uint32_t prev = core.run.tid;
         core.busy = false;
+        --discreteJobs_;
         // Dispatch the next waiter before the callback runs: callbacks
         // commonly submit new jobs (mirrors the GPS reschedule-first
         // contract).

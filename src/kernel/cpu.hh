@@ -246,6 +246,9 @@ class CpuModel
 
     // Discrete state.
     std::vector<Core> cores_;
+    /** Jobs submitted and not yet completed or cancelled: each core's
+     *  queue plus its running task (not a delayed switch-in's). */
+    std::size_t discreteJobs_ = 0;
     unsigned nextCore_ = 0; ///< round-robin placement cursor
     std::vector<std::uint32_t> seenTids_;
     std::uint64_t dispatches_ = 0;

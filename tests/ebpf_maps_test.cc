@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for eBPF maps: hash semantics (flags, capacity, pointer
- * stability), array bounds, and the ring buffer.
+ * stability, storage under churn, iteration order), array bounds, and
+ * the ring buffer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "ebpf/maps.hh"
+#include "sim/rng.hh"
 
 namespace reqobs::ebpf {
 namespace {
@@ -81,6 +84,138 @@ TEST(HashMapTest, ForEachVisitsEverything)
         sum += x;
     });
     EXPECT_EQ(sum, 0u + 10 + 20 + 30 + 40);
+}
+
+/**
+ * Random insert/erase/lookup/update churn with every update flag
+ * against a std::map model, on maps whose probe table fills with
+ * tombstones and compacts (89, 7 and 10 times for the three shapes).
+ * Values are as wide as the map's value size and every one differs, so
+ * a lookup that returns a stale, foreign or never-written slab slot
+ * shows.
+ */
+TEST(HashMapTest, ChurnMatchesAStdMapModel)
+{
+    struct Shape
+    {
+        std::uint32_t keySize, valueSize, maxEntries, keys;
+    };
+    // 8- and 4-byte keys take the multiply hash, 12-byte keys the FNV
+    // loop.
+    for (const Shape shape : {Shape{8, 8, 64, 160}, Shape{12, 24, 48, 120},
+                              Shape{4, 16, 200, 500}}) {
+        SCOPED_TRACE(shape.keySize);
+        HashMap m(shape.keySize, shape.valueSize, shape.maxEntries);
+        std::map<std::vector<std::uint8_t>, std::vector<std::uint8_t>> model;
+        sim::Rng rng(shape.keySize * 1000 + shape.maxEntries);
+        std::uint64_t stamp = 0;
+        int full = 0;
+        auto keyOf = [&](std::uint64_t k) {
+            std::vector<std::uint8_t> key(shape.keySize);
+            for (std::uint32_t i = 0; i < shape.keySize; ++i)
+                key[i] = static_cast<std::uint8_t>(k >> (8 * (i % 8)) ^ i);
+            return key;
+        };
+        auto freshValue = [&] {
+            std::vector<std::uint8_t> v(shape.valueSize);
+            ++stamp;
+            for (std::uint32_t i = 0; i < shape.valueSize; ++i)
+                v[i] = static_cast<std::uint8_t>(stamp >> (8 * (i % 8)) ^
+                                                 (i * 37));
+            return v;
+        };
+        for (int op = 0; op < 40000; ++op) {
+            const auto key = keyOf(rng.uniformInt(shape.keys));
+            const auto it = model.find(key);
+            const double u = rng.uniform();
+            if (u < 0.45) {
+                const std::uint64_t flags = rng.uniformInt(3);
+                const auto value = freshValue();
+                const int rc = m.update(key.data(), value.data(), flags);
+                int want = 0;
+                if (it != model.end() && flags == BPF_NOEXIST)
+                    want = -17;
+                else if (it == model.end() && flags == BPF_EXIST)
+                    want = -2;
+                else if (it == model.end() &&
+                         model.size() >= shape.maxEntries)
+                    want = -7;
+                ASSERT_EQ(rc, want) << "op " << op;
+                full += rc == -7;
+                if (rc == 0)
+                    model[key] = value;
+            } else if (u < 0.8) {
+                const int rc = m.erase(key.data());
+                ASSERT_EQ(rc, it == model.end() ? -2 : 0) << "op " << op;
+                if (it != model.end())
+                    model.erase(it);
+            } else {
+                const std::uint8_t *got = m.lookup(key.data());
+                if (it == model.end()) {
+                    ASSERT_EQ(got, nullptr) << "op " << op;
+                } else {
+                    ASSERT_NE(got, nullptr) << "op " << op;
+                    ASSERT_EQ(std::memcmp(got, it->second.data(),
+                                          shape.valueSize),
+                              0)
+                        << "op " << op;
+                }
+            }
+            ASSERT_EQ(m.size(), model.size());
+        }
+        // The churn really ran into the capacity limit.
+        EXPECT_GT(full, 0);
+        std::size_t seen = 0;
+        m.forEach([&](const std::uint8_t *k, const std::uint8_t *v) {
+            const auto it = model.find(
+                std::vector<std::uint8_t>(k, k + shape.keySize));
+            ASSERT_NE(it, model.end());
+            EXPECT_EQ(std::memcmp(v, it->second.data(), shape.valueSize), 0);
+            ++seen;
+        });
+        EXPECT_EQ(seen, model.size());
+    }
+}
+
+/**
+ * forEach visits entries in probe-table order, which snapshotMaps()
+ * and restoreMaps() replay: pin the order a fixed insert/erase script
+ * (three compactions) leaves, recorded from the earlier zero-filled
+ * storage with its pre-filled free list.
+ */
+TEST(HashMapTest, ForEachOrderIsPinned)
+{
+    HashMap m(8, 8, 48);
+    sim::Rng rng(7);
+    for (int op = 0; op < 3000; ++op) {
+        const std::uint64_t k = rng.uniformInt(200);
+        if (rng.uniform() < 0.55)
+            m.put(k, k * 1000 + static_cast<std::uint64_t>(op));
+        else
+            m.remove(k);
+    }
+    for (std::uint64_t k = 0; k < 200; ++k) {
+        if (k % 4 != 0)
+            m.remove(k);
+    }
+    std::uint64_t digest = 1469598103934665603ULL;
+    std::vector<std::uint64_t> keys;
+    m.forEach([&](const std::uint8_t *k, const std::uint8_t *v) {
+        for (const std::uint8_t *p : {k, v}) {
+            for (int i = 0; i < 8; ++i) {
+                digest ^= p[i];
+                digest *= 1099511628211ULL;
+            }
+        }
+        std::uint64_t key;
+        std::memcpy(&key, k, 8);
+        keys.push_back(key);
+    });
+    EXPECT_EQ(m.size(), 13u);
+    EXPECT_EQ(keys, (std::vector<std::uint64_t>{116, 32, 140, 112, 172, 128,
+                                                188, 152, 192, 36, 8, 168,
+                                                44}));
+    EXPECT_EQ(digest, 0x331da18a37df3b5aULL); // keys and values, in order
 }
 
 TEST(ArrayMapTest, SlotsPrezeroedAndBounded)
@@ -156,6 +291,19 @@ TEST(MapDeathTest, TypedAccessChecksSizes)
     std::uint32_t small_key = 1;
     std::uint64_t out;
     EXPECT_DEATH(m.get(small_key, out), "key size");
+}
+
+/**
+ * Twice max_entries must fit the 32-bit probe-table size: above 2^30
+ * the doubling wraps (or never ends), so creation fails before any
+ * table is allocated.
+ */
+TEST(MapDeathTest, HashMapRejectsMoreThanTwoToThe30Entries)
+{
+    for (const std::uint32_t n :
+         {(1u << 30) + 1, 3u << 29, 1u << 31, 0xffffffffu}) {
+        EXPECT_DEATH(HashMap(8, 8, n), "max_entries");
+    }
 }
 
 } // namespace

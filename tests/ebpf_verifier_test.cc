@@ -1,17 +1,27 @@
 /**
  * @file
- * Verifier test suite: one accepted program per probe pattern, and one
- * rejection test per safety rule the verifier enforces.
+ * Verifier test suite: one accepted program per probe pattern, one
+ * rejection test per safety rule the verifier enforces, and pins on the
+ * exploration itself (states explored per library probe, and a digest
+ * of verdicts, error text and state counts over a fixed fuzz corpus).
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "ebpf/assembler.hh"
 #include "ebpf/helpers.hh"
 #include "ebpf/maps.hh"
+#include "ebpf/probes.hh"
+#include "ebpf/runtime.hh"
 #include "ebpf/verifier.hh"
+#include "fuzz_programs.hh"
+#include "kernel/kernel.hh"
+#include "kernel/syscalls.hh"
+#include "sim/rng.hh"
+#include "sim/simulation.hh"
 
 namespace reqobs::ebpf {
 namespace {
@@ -413,7 +423,142 @@ TEST_F(VerifierTest, CountsStates)
     b.movImm(R0, 0).exit_();
     const auto r = check(b);
     EXPECT_TRUE(r.ok);
-    EXPECT_GT(r.statesExplored, 0u);
+    EXPECT_EQ(r.statesExplored, 2u); // one per instruction on one path
+}
+
+/**
+ * States explored per library probe, as the agents build them (one
+ * send syscall, two tenants for the tenant-scoped set). For an accepted
+ * program that is the number of distinct (pc, state) pairs reached, so
+ * a state wrongly merged with another or wrongly kept apart shows. The
+ * order of exploration shows in rejected programs, which the corpus
+ * digest below covers.
+ */
+TEST(VerifierProbeTest, LibraryProbeStateCountsArePinned)
+{
+    sim::Simulation sim(1);
+    kernel::Kernel kernel(sim);
+    EbpfRuntime rt(kernel);
+    const std::int64_t poll = kernel::syscallId(kernel::Syscall::EpollWait);
+    const std::vector<std::int64_t> family{
+        kernel::syscallId(kernel::Syscall::Sendto)};
+    const unsigned shift = probes::kDeltaShift;
+
+    const auto dmaps = probes::createDurationMaps(rt, "d");
+    const auto emaps = probes::createDeltaMaps(rt, "e");
+    const auto smaps = probes::createStreamMaps(rt, 4096, "s");
+    const probes::TenantSet set{{1000, 1001}, {poll, poll}};
+    const auto tdmaps = probes::createTenantDurationMaps(rt, 2, "td");
+    const auto temaps = probes::createTenantDeltaMaps(rt, 2, "te");
+    const auto rmaps = probes::createRunqlatMaps(rt, 2, "rq");
+    const auto fmaps = probes::createFrontDoorMaps(rt, 2, "fd");
+    const int sketch = probes::createTenantSketchMap(rt, 4, 8, "hh");
+
+    const std::pair<ProgramSpec, std::uint64_t> pins[] = {
+        // Listing 1.
+        {probes::buildDurationEnter(rt, 1234, poll, dmaps), 22},
+        {probes::buildDurationExit(rt, 1234, poll, dmaps, shift, false), 49},
+        {probes::buildDurationExit(rt, 1234, poll, dmaps, shift, true), 52},
+        {probes::buildDeltaExit(rt, 1234, family, emaps, shift, false), 41},
+        {probes::buildDeltaExit(rt, 1234, family, emaps, shift, true), 46},
+        {probes::buildStreamProbe(rt, 1234, true, smaps), 22},
+        // Tenant-scoped, two tenants.
+        {probes::buildTenantDurationEnter(rt, set, tdmaps), 39},
+        {probes::buildTenantDurationExit(rt, set, tdmaps, shift, false), 93},
+        {probes::buildTenantDurationExit(rt, set, tdmaps, shift, true), 99},
+        {probes::buildTenantDeltaExit(rt, set, family, temaps, shift, false),
+         77},
+        {probes::buildTenantDeltaExit(rt, set, family, temaps, shift, true),
+         87},
+        {probes::buildTenantHeavyHitter(rt, set, family, sketch), 61},
+        {probes::buildRunqlatWakeup(rt, rmaps), 13},
+        {probes::buildRunqlatSwitch(rt, set, rmaps), 812},
+        {probes::buildFrontDoorIngress(rt, fmaps), 13},
+        {probes::buildFrontDoorAccept(rt, set, fmaps), 588},
+    };
+    for (const auto &[spec, states] : pins) {
+        const VerifyResult r = verify(spec);
+        EXPECT_TRUE(r.ok) << spec.name << ": " << r.error;
+        EXPECT_EQ(r.statesExplored, states) << spec.name;
+    }
+}
+
+/** What one pass over the fuzz corpus saw. */
+struct CorpusRun
+{
+    std::uint64_t digest = 1469598103934665603ULL; ///< FNV-1a
+    int accepted = 0;
+    int capped = 0; ///< rejected at the state cap
+};
+
+void
+foldBytes(std::uint64_t &h, const void *data, std::size_t n)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ULL;
+    }
+}
+
+/**
+ * Verify 16 seeds x 3,000 generated programs (maps at fds 3/4/5 as in
+ * ebpf_fuzz_test) and fold each (ok, error text, states explored) into
+ * one digest.
+ */
+CorpusRun
+verifyCorpus(const VerifierLimits &limits)
+{
+    auto hash = std::make_unique<HashMap>(8, 8, 64);
+    auto array = std::make_unique<ArrayMap>(32, 4);
+    auto sketch = std::make_unique<SketchMap>(8, 2, 4);
+    CorpusRun run;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        sim::Rng rng(seed);
+        for (int trial = 0; trial < 3000; ++trial) {
+            ProgramBuilder b;
+            FuzzGenerator gen(rng.next(), /*sketch_fd=*/5);
+            gen.emitProgram(b, 3 + static_cast<int>(rng.uniformInt(24)));
+            for (int l = 0; l < 4; ++l)
+                b.label("L" + std::to_string(l));
+            b.movImm(R0, 0).exit_();
+
+            ProgramSpec spec;
+            spec.insns = b.build();
+            spec.maps[3] = hash.get();
+            spec.maps[4] = array.get();
+            spec.maps[5] = sketch.get();
+            const VerifyResult r = verify(spec, limits);
+            const std::uint8_t ok = r.ok;
+            foldBytes(run.digest, &ok, 1);
+            foldBytes(run.digest, r.error.data(), r.error.size() + 1);
+            foldBytes(run.digest, &r.statesExplored,
+                      sizeof(r.statesExplored));
+            run.accepted += r.ok;
+            run.capped += r.error.find("too complex") != std::string::npos;
+        }
+    }
+    return run;
+}
+
+/**
+ * The corpus digests pin verdicts, error text and state counts, at the
+ * default limits and at a 40-state cap that stops many programs midway,
+ * to the values the verifier's earlier seen-table implementation gave.
+ */
+TEST(VerifierCorpusTest, VerdictsErrorsAndStateCountsArePinned)
+{
+    const CorpusRun full = verifyCorpus(VerifierLimits{});
+    EXPECT_EQ(full.digest, 0x99e900967c06ef44ULL);
+    EXPECT_EQ(full.accepted, 4712);
+    EXPECT_EQ(full.capped, 0);
+
+    VerifierLimits tight;
+    tight.maxStates = 40;
+    const CorpusRun capped = verifyCorpus(tight);
+    EXPECT_EQ(capped.digest, 0x43728e064de40501ULL);
+    EXPECT_EQ(capped.accepted, 4270);
+    EXPECT_EQ(capped.capped, 1252);
 }
 
 } // namespace

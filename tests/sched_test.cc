@@ -805,7 +805,7 @@ struct SchedRun
 {
     std::vector<std::pair<sim::Tick, std::uint64_t>> completions;
     std::vector<TickEv> evs;
-    std::vector<std::size_t> active; ///< after every op and completion
+    std::vector<std::size_t> active; ///< after every op, submit and completion
     std::vector<double> served;      ///< after every op, and at the end
     std::uint64_t dispatches = 0;
     std::uint64_t preemptions = 0;
@@ -852,8 +852,12 @@ runSchedScript(const std::vector<SchedOp> &ops, const CpuConfig &cfg,
             const SchedOp &op = ops[k];
             switch (op.kind) {
             case SchedOp::Kind::Submit:
-                for (int i = 0; i < op.count; ++i)
+                // Sampled after each submit of a burst too; a cancel is
+                // sampled by the op's closing sample below.
+                for (int i = 0; i < op.count; ++i) {
                     submit(op.demand, op.tid);
+                    run.active.push_back(cpu.activeJobs());
+                }
                 break;
             case SchedOp::Kind::Cancel:
                 cpu.cancel(op.target < ids.size() ? ids[op.target]
